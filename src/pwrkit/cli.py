@@ -248,7 +248,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"no similarity exceeds {args.cosine_threshold}; "
             "modularity is undefined on an edgeless graph",
         )
-    partition = louvain_partition(graph, resolution=args.resolution)
+    try:
+        partition = louvain_partition(graph, resolution=args.resolution)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from exc
     lines = ["label,community"]
     for name, comm in zip(partition.labels, partition.community_of):
         lines.append(f"{name},{comm}")

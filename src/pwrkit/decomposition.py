@@ -3,14 +3,26 @@
 A citation set is split by building the cosine similarity of citing columns,
 thresholding it into a weighted undirected graph, and clustering that graph
 with a deterministic two-phase modularity optimizer (local moving followed by
-community aggregation).  Ego-style subsets defined by a citation threshold on
-one target journal complement the clustering route.
+community aggregation, after Blondel et al., arXiv:0803.0476).  Ego-style
+subsets defined by a citation threshold on one target journal complement the
+clustering route.
+
+No step allocates or loops over all n^2 pairs; time and memory follow the
+citation arcs and the pairs with nonzero similarity.  The Gram matrix Z^T Z
+is formed on the matrix's own storage (one BLAS call for dense matrices, a
+sparse product for CSR), only its nonzero strict upper triangle is stored,
+the threshold graph is three arrays, and the modularity optimizer works on
+CSR adjacency arrays.  Citation counts are integers, so the Gram entries,
+and hence the similarities, are exact on either storage.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import itertools
+import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,18 +33,67 @@ from .matrix import CitationMatrix, NodeSet, zero_diagonal
 # deterministic tie-breaks.
 _GAIN_EPS = 1e-12
 
+# Node visits with at most this many neighbours run in plain Python; wider
+# ones are vectorised.  Both routes do the same float operations in the same
+# order, so the choice changes speed only.
+_SMALL_DEGREE = 48
 
-@dataclass(frozen=True)
+# At most this many array elements are held as Python objects at a time.
+_CHUNK = 1 << 16
+
+
+class EdgeList(Sequence):
+    """Read-only ``(i, j, w)`` triples backed by three parallel arrays."""
+
+    __slots__ = ("i", "j", "w")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> None:
+        self.i, self.j, self.w = i, j, w
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        return (int(self.i[k]), int(self.j[k]), float(self.w[k]))
+
+    def __iter__(self) -> Iterator[tuple[int, int, float]]:
+        return zip(self.i.tolist(), self.j.tolist(), self.w.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (EdgeList, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EdgeList({len(self)} edges)"
+
+
+def _py_sum(values: np.ndarray) -> float:
+    """``sum()`` over the values as Python floats, in order, in bounded memory.
+
+    The builtin's float summation (compensated from Python 3.12 on) defines
+    total weights and degrees, so it is reused rather than redone in numpy.
+    """
+    chunks = (values[k : k + _CHUNK].tolist() for k in range(0, len(values), _CHUNK))
+    return float(sum(itertools.chain.from_iterable(chunks)))
+
+
 class SimilarityMatrix:
-    """Symmetric pairwise similarities in [0, 1] over labelled nodes."""
+    """Symmetric pairwise similarities in [0, 1] over labelled nodes.
 
-    labels: tuple[str, ...]
-    values: np.ndarray
+    Stored sparsely: ``pairs`` holds the nonzero similarities above the
+    diagonal in row-major order and ``diagonal`` the self-similarities.  The
+    dense ``values`` matrix is built when first read.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        vals = np.asarray(self.values, dtype=np.float64)
-        n = len(self.labels)
+    def __init__(self, labels: Sequence[str], values: object) -> None:
+        vals = np.asarray(values, dtype=np.float64)
+        n = len(labels)
         if vals.shape != (n, n):
             raise ValueError(f"similarity matrix must be {n}x{n}, got {vals.shape}")
         if not np.isfinite(vals).all():
@@ -41,50 +102,109 @@ class SimilarityMatrix:
             raise ValueError("similarities must lie in [0, 1]")
         if not np.array_equal(vals, vals.T):
             raise ValueError("similarity matrix must be symmetric")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        rows, cols = np.nonzero(np.triu(vals, k=1))
+        self._init(labels, EdgeList(rows, cols, vals[rows, cols]), np.diag(vals).copy())
+        self._values = vals.copy()
+        self._values.flags.writeable = False
+
+    @classmethod
+    def _from_pairs(
+        cls, labels: Sequence[str], pairs: EdgeList, diagonal: np.ndarray
+    ) -> SimilarityMatrix:
+        """Wrap row-major pairs with i < j and similarities in [0, 1]."""
+        if not np.isfinite(pairs.w).all():
+            raise ValueError("similarities must be finite")
+        obj = cls.__new__(cls)
+        obj._init(labels, pairs, diagonal)
+        return obj
+
+    def _init(self, labels: Sequence[str], pairs: EdgeList, diagonal: np.ndarray) -> None:
+        self.labels = tuple(labels)
+        self.pairs = pairs
+        self.diagonal = diagonal
+        self._values: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            dense = np.zeros((self.n, self.n))
+            dense[self.pairs.i, self.pairs.j] = self.pairs.w
+            dense[self.pairs.j, self.pairs.i] = self.pairs.w
+            np.fill_diagonal(dense, self.diagonal)
+            dense.flags.writeable = False
+            self._values = dense
+        return self._values
+
+
+def _index_array(values: Sequence[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # certainly out of range; kept exact for the message
+        return np.array(values, dtype=object)
+
+
+def _edge_arrays(edges: Iterable[tuple[int, int, float]]) -> EdgeList:
+    triples = [(int(i), int(j), float(w)) for i, j, w in edges]
+    if not triples:
+        return EdgeList(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    i, j, w = zip(*triples)
+    return EdgeList(_index_array(i), _index_array(j), np.array(w, dtype=np.float64))
+
+
+def _validated(edges: EdgeList, n: int) -> EdgeList:
+    """Edges with i < j; otherwise the error for the first bad edge in input order."""
+    i, j, w = edges.i, edges.j, edges.w
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    out_of_range = (low < 0) | (high >= n)
+    self_loop = i == j
+    key = low * n + high
+    duplicate = np.zeros(len(key), dtype=bool)
+    if len(key) > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        duplicate[order[1:][ordered[1:] == ordered[:-1]]] = True
+    bad_weight = (w <= 0.0) | ~np.isfinite(w)
+    bad = out_of_range | self_loop | duplicate | bad_weight
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = int(low[k]), int(high[k])
+        if out_of_range[k]:
+            raise ValueError(f"edge ({int(i[k])}, {int(j[k])}) out of range for {n} nodes")
+        if self_loop[k]:
+            raise ValueError(f"self-loop on node {a} is not supported")
+        if duplicate[k]:
+            raise ValueError(f"duplicate edge ({a}, {b})")
+        raise ValueError(f"edge ({a}, {b}) must have positive finite weight")
+    return EdgeList(low.astype(np.intp, copy=False), high.astype(np.intp, copy=False), w)
 
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Weighted undirected graph as an edge list with i < j and w > 0."""
+    """Weighted undirected graph as an edge list with i < j and w > 0.
+
+    ``edges`` accepts any iterable of ``(i, j, w)`` triples and is stored as
+    an :class:`EdgeList` over three arrays.
+    """
 
     labels: tuple[str, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    edges: EdgeList
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
-        n = len(self.labels)
-        seen: set[tuple[int, int]] = set()
-        normalized: list[tuple[int, int, float]] = []
-        for i, j, w in self.edges:
-            a, b, weight = int(i), int(j), float(w)
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
-            if a == b:
-                raise ValueError(f"self-loop on node {a} is not supported")
-            if a > b:
-                a, b = b, a
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            if weight <= 0.0 or not np.isfinite(weight):
-                raise ValueError(f"edge ({a}, {b}) must have positive finite weight")
-            seen.add((a, b))
-            normalized.append((a, b, weight))
-        object.__setattr__(self, "edges", tuple(normalized))
+        edges = self.edges if isinstance(self.edges, EdgeList) else _edge_arrays(self.edges)
+        object.__setattr__(self, "edges", _validated(edges, len(self.labels)))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
-        return float(sum(w for _i, _j, w in self.edges))
+        return _py_sum(self.edges.w)
 
 
 @dataclass(frozen=True)
@@ -125,33 +245,43 @@ def citing_cosine_matrix(
     """
     policy = SelfCitations(diagonal_policy)
     mat = zero_diagonal(z) if policy is SelfCitations.EXCLUDE else z
-    dense = mat.to_dense()
-    norms = np.sqrt((dense * dense).sum(axis=0))
-    gram = dense.T @ dense
-    denom = np.outer(norms, norms)
-    sims = np.divide(
-        gram, denom, out=np.zeros_like(gram), where=denom > 0.0
-    )
+    entries = mat.entries
+    if mat.is_sparse:
+        gram = (entries.T @ entries).tocsr()
+        gram.sort_indices()
+        norms = np.sqrt(gram.diagonal())
+        rows = np.repeat(np.arange(mat.n), np.diff(gram.indptr))
+        keep = (gram.indices > rows) & (gram.data > 0.0)
+        rows, cols, dots = rows[keep], gram.indices[keep], gram.data[keep]
+    else:
+        gram = entries.T @ entries
+        norms = np.sqrt((entries * entries).sum(axis=0))
+        rows, cols = np.nonzero(np.triu(gram, k=1))
+        dots = gram[rows, cols]
+    denom = norms[rows] * norms[cols]
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
     np.clip(sims, 0.0, 1.0, out=sims)
-    # Mirror the upper triangle so the result is exactly symmetric despite
-    # float summation order differences.
-    upper = np.triu(sims, k=1)
     diag = np.where(norms > 0.0, 1.0, 0.0)
-    return SimilarityMatrix(z.labels, upper + upper.T + np.diag(diag))
+    return SimilarityMatrix._from_pairs(z.labels, EdgeList(rows, cols, sims), diag)
 
 
 def threshold_graph(similarities: SimilarityMatrix, tau: float) -> UndirectedGraph:
     """Keep an edge {i, j} wherever similarity strictly exceeds tau."""
+    if not math.isfinite(tau):
+        raise ValueError(f"threshold must be finite, got {tau}")
     if tau < 0.0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
-    vals = similarities.values
-    edges = [
-        (i, j, float(vals[i, j]))
-        for i in range(similarities.n)
-        for j in range(i + 1, similarities.n)
-        if vals[i, j] > tau
-    ]
-    return UndirectedGraph(similarities.labels, tuple(edges))
+    pairs = similarities.pairs
+    keep = pairs.w > tau
+    return UndirectedGraph(
+        similarities.labels, EdgeList(pairs.i[keep], pairs.j[keep], pairs.w[keep])
+    )
+
+
+def _checked_resolution(resolution: float) -> float:
+    if not (math.isfinite(resolution) and resolution >= 0.0):
+        raise ValueError(f"resolution must be finite and >= 0, got {resolution}")
+    return float(resolution)
 
 
 def modularity(
@@ -159,25 +289,28 @@ def modularity(
     partition: Partition | Mapping[int, int] | Sequence[int],
     resolution: float = 1.0,
 ) -> float:
-    """Weighted Newman-Girvan modularity of a node-to-community assignment."""
+    """Weighted Newman-Girvan modularity of a node-to-community assignment.
+
+    Degrees and internal weights accumulate in edge order, and community
+    terms are added in order of first appearance.
+    """
+    resolution = _checked_resolution(resolution)
     assignment = _assignment_vector(graph.n, partition)
     m = graph.total_weight
     if m == 0.0:
         raise ValueError("modularity is undefined for a graph with no edges")
-    internal: dict[int, float] = {}
-    degree = [0.0] * graph.n
-    for i, j, w in graph.edges:
-        degree[i] += w
-        degree[j] += w
-        if assignment[i] == assignment[j]:
-            internal[assignment[i]] = internal.get(assignment[i], 0.0) + w
-    totals: dict[int, float] = {}
-    for node, comm in enumerate(assignment):
-        totals[comm] = totals.get(comm, 0.0) + degree[node]
+    first_seen: dict[int, int] = {}
+    comm = np.array([first_seen.setdefault(c, len(first_seen)) for c in assignment])
+    e = graph.edges
+    degree = np.bincount(_interleave(e.i, e.j), weights=e.w.repeat(2), minlength=graph.n)
+    ci = comm[e.i]
+    same = ci == comm[e.j]
+    internal = np.bincount(ci[same], weights=e.w[same], minlength=len(first_seen)).tolist()
+    totals = np.bincount(comm, weights=degree, minlength=len(first_seen)).tolist()
     two_m = 2.0 * m
     q = 0.0
-    for comm, total in totals.items():
-        q += internal.get(comm, 0.0) / m - resolution * (total / two_m) ** 2
+    for inside, total in zip(internal, totals):
+        q += inside / m - resolution * (total / two_m) ** 2
     return q
 
 
@@ -196,6 +329,185 @@ def _assignment_vector(
     if len(assignment) != n:
         raise ValueError(f"partition covers {len(assignment)} nodes, graph has {n}")
     return assignment
+
+
+def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level-0 CSR adjacency.
+
+    Every level's rows start with the node's own loop weight (0.0 here),
+    followed by its neighbours: in edge order at level 0, in order of first
+    encounter after aggregation.
+    """
+    n, e = graph.n, graph.edges
+    nodes = np.arange(n)
+    src = np.concatenate((nodes, _interleave(e.i, e.j)))
+    order = src.argsort(kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.bincount(src, minlength=n).cumsum(out=indptr[1:])
+    dst = np.concatenate((nodes, _interleave(e.j, e.i)))
+    weight = np.concatenate((np.zeros(n), e.w.repeat(2)))
+    return indptr, dst[order], weight[order]
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...: both ends of every edge, in edge order."""
+    out = np.empty(2 * len(a), dtype=np.intp)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _degrees(indptr: np.ndarray, data: np.ndarray) -> list[float]:
+    """Twice the loop weight plus the builtin ``sum()`` of the neighbour
+    weights (see :func:`_py_sum`), per row."""
+    ptr = indptr.tolist()
+    loops = data[indptr[:-1]].tolist()
+    return [
+        2.0 * loop + sum(data[a + 1 : b].tolist())
+        for loop, a, b in zip(loops, ptr[:-1], ptr[1:])
+    ]
+
+
+def _first_best(cands: Sequence[int], gains: Sequence[float]) -> int:
+    """First candidate whose gain beats every earlier leader by more than eps."""
+    best, best_gain = cands[0], gains[0]
+    for cand, gain in zip(cands, gains):
+        if gain > best_gain + _GAIN_EPS:
+            best, best_gain = cand, gain
+    return best
+
+
+def _local_moving(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    degree: list[float],
+    sweep: list[int],
+    resolution: float,
+    m: float,
+) -> tuple[list[int], bool]:
+    """Move nodes to their best neighbouring community until none moves.
+
+    A visit costs O(degree): the weight towards each neighbouring community
+    is summed in neighbour order and candidates are compared as if scanned
+    in ascending community id.  Wide visits are vectorised and read array
+    mirrors of the community and sigma lists.
+    """
+    level_n = len(degree)
+    community = list(range(level_n))
+    sigma = list(degree)
+    ptr = indptr.tolist()
+    scale = 2.0 * m * m
+    # A visit reads its whole row; the node's own entry, weighted 0.0 here,
+    # puts its current community among the candidates.
+    weights = data.copy()
+    weights[indptr[:-1]] = 0.0
+    widest = int((indptr[1:] - indptr[:-1]).max(initial=0))
+    mirrored = widest > _SMALL_DEGREE
+    # Narrow visits iterate Python lists: the whole level's when it is
+    # small, otherwise one row's at a time.
+    as_lists = len(indices) <= _CHUNK
+    if as_lists:
+        nbr_list, w_list = indices.tolist(), weights.tolist()
+    if mirrored:
+        community_arr = np.arange(level_n)
+        sigma_arr = np.array(sigma)
+        slot = np.zeros(level_n, dtype=np.intp)
+        positions = np.arange(widest)
+        compact = np.zeros(widest, dtype=np.intp)
+    moved_any = False
+    moved = True
+    # Real inputs settle in a handful of sweeps; the budget only guards
+    # against float near-ties cycling forever.
+    sweeps_left = 100 + 10 * level_n
+    while moved and sweeps_left > 0:
+        sweeps_left -= 1
+        moved = False
+        for v in sweep:
+            current = community[v]
+            kv = degree[v]
+            a, b = ptr[v], ptr[v + 1]
+            sigma[current] -= kv
+            if b - a <= _SMALL_DEGREE:
+                weight_to: dict[int, float] = {}
+                if as_lists:
+                    row = zip(nbr_list[a:b], w_list[a:b])
+                else:
+                    row = zip(indices[a:b].tolist(), weights[a:b].tolist())
+                for u, w in row:
+                    c = community[u]
+                    weight_to[c] = weight_to.get(c, 0.0) + w
+                cands = sorted(weight_to)
+                gains = [weight_to[c] / m - resolution * sigma[c] * kv / scale for c in cands]
+                best = _first_best(cands, gains)
+            else:
+                sigma_arr[current] = sigma[current]
+                # Number the neighbouring communities without sorting: slot
+                # ends up holding one neighbour position per community.
+                pos = positions[: b - a]
+                comms = community_arr[indices[a:b]]
+                slot[comms] = pos
+                rep = slot[comms]
+                is_rep = rep == pos
+                found = comms[is_rep]
+                compact[rep[is_rep]] = positions[: len(found)]
+                sums = np.bincount(compact[rep], weights=weights[a:b])
+                gain = sums / m - resolution * sigma_arr[found] * kv / scale
+                top = int(gain.argmax())
+                # A leader ahead of every rival by more than eps wins the
+                # ascending scan whatever the candidate order; else scan.
+                if np.count_nonzero(gain + _GAIN_EPS >= gain[top]) == 1:
+                    best = int(found[top])
+                else:
+                    asc = np.argsort(found)
+                    best = _first_best(found[asc].tolist(), gain[asc].tolist())
+            community[v] = best
+            sigma[best] += kv
+            if mirrored:
+                community_arr[v] = best
+                sigma_arr[current] = sigma[current]
+                sigma_arr[best] = sigma[best]
+            if best != current:
+                moved = moved_any = True
+    return community, moved_any
+
+
+def _aggregate(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    community: list[int],
+    assignment: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse communities into super-nodes numbered by smallest member.
+
+    Level nodes are numbered by smallest original member, so numbering
+    communities by first appearance keeps that order.  Weights accumulate in
+    row-major scan order.  An edge inside a community counts once, from its
+    lower end, towards the super-node's loop weight; as every row starts
+    with its own loop entry, that weight lands first in the new row too.
+    """
+    level_n = len(community)
+    first_seen: dict[int, int] = {}
+    super_of = np.array([first_seen.setdefault(c, len(first_seen)) for c in community])
+    new_n = len(first_seen)
+    rows = np.repeat(np.arange(level_n), indptr[1:] - indptr[:-1])
+    cv, cu = super_of[rows], super_of[indices]
+    keep = (cv != cu) | (indices >= rows)
+    key = (cv * new_n + cu)[keep]
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    starts = np.ones(len(key), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(len(key), dtype=np.intp)
+    group[order] = starts.cumsum() - 1
+    weights = np.bincount(group, weights=data[keep])
+    key = ordered[starts]
+    src = key // new_n
+    by_row = np.lexsort((order[starts], src))
+    new_indptr = np.zeros(new_n + 1, dtype=np.intp)
+    np.bincount(src, minlength=new_n).cumsum(out=new_indptr[1:])
+    return new_indptr, (key % new_n)[by_row], weights[by_row], super_of[assignment]
 
 
 def louvain_partition(
@@ -217,108 +529,37 @@ def louvain_partition(
     An edgeless graph has nothing to cluster and yields singletons with
     q = 0.0.
     """
+    resolution = _checked_resolution(resolution)
     n = graph.n
     if n < 1:
         raise ValueError("graph must have at least one node")
-    if graph.total_weight == 0.0:
+    m = graph.total_weight
+    if m == 0.0:
         return Partition(graph.labels, tuple(range(n)), 0.0)
+    sweep = None
     if sweep_order is not None:
-        order = [int(v) for v in sweep_order]
-        if sorted(order) != list(range(n)):
+        sweep = [int(v) for v in sweep_order]
+        if sorted(sweep) != list(range(n)):
             raise ValueError("sweep order must be a permutation of all nodes")
 
-    adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-    loops = [0.0] * n
-    for i, j, w in graph.edges:
-        adjacency[i][j] = adjacency[i].get(j, 0.0) + w
-        adjacency[j][i] = adjacency[j].get(i, 0.0) + w
-    m = graph.total_weight
-
-    assignment = list(range(n))
-    members: list[list[int]] = [[v] for v in range(n)]
-    first_level = True
-
+    indptr, indices, data = _adjacency(graph)
+    assignment = np.arange(n)
     while True:
-        level_n = len(adjacency)
-        weighted_degree = [
-            2.0 * loops[v] + sum(adjacency[v].values()) for v in range(level_n)
-        ]
-        if first_level and sweep_order is not None:
-            sweep = list(order)
-        else:
-            sweep = sorted(range(level_n), key=lambda v: (weighted_degree[v], v))
-        first_level = False
-
-        community = list(range(level_n))
-        sigma = weighted_degree.copy()
-        moved_any = False
-        moved = True
-        # Real inputs settle in a handful of sweeps; the budget only guards
-        # against float near-ties cycling forever.
-        sweeps_left = 100 + 10 * level_n
-        while moved and sweeps_left > 0:
-            sweeps_left -= 1
-            moved = False
-            for v in sweep:
-                current = community[v]
-                weight_to: dict[int, float] = {}
-                for u, w in adjacency[v].items():
-                    weight_to[community[u]] = weight_to.get(community[u], 0.0) + w
-                sigma[current] -= weighted_degree[v]
-                best_comm: int | None = None
-                best_gain = 0.0
-                for cand in sorted(set(weight_to) | {current}):
-                    gain = (
-                        weight_to.get(cand, 0.0) / m
-                        - resolution * sigma[cand] * weighted_degree[v] / (2.0 * m * m)
-                    )
-                    if best_comm is None or gain > best_gain + _GAIN_EPS:
-                        best_comm = cand
-                        best_gain = gain
-                community[v] = best_comm
-                sigma[best_comm] += weighted_degree[v]
-                if best_comm != current:
-                    moved = True
-                    moved_any = True
+        degree = _degrees(indptr, data)
+        if sweep is None:
+            sweep = sorted(range(len(degree)), key=degree.__getitem__)
+        community, moved_any = _local_moving(
+            indptr, indices, data, degree, sweep, resolution, m
+        )
         if not moved_any:
             break
-
-        # Aggregation: communities become super-nodes, renumbered so that the
-        # community holding the smallest original node gets the smallest id.
-        groups: dict[int, list[int]] = {}
-        for v in range(level_n):
-            groups.setdefault(community[v], []).append(v)
-        ordered = sorted(groups, key=lambda c: min(min(members[v]) for v in groups[c]))
-        new_id = {c: idx for idx, c in enumerate(ordered)}
-        new_members: list[list[int]] = [[] for _ in ordered]
-        for c, nodes in groups.items():
-            for v in nodes:
-                new_members[new_id[c]].extend(members[v])
-        for group in new_members:
-            group.sort()
-        for idx, group in enumerate(new_members):
-            for original in group:
-                assignment[original] = idx
-
-        new_n = len(ordered)
-        new_adjacency: list[dict[int, float]] = [{} for _ in range(new_n)]
-        new_loops = [0.0] * new_n
-        for v in range(level_n):
-            cv = new_id[community[v]]
-            new_loops[cv] += loops[v]
-            for u, w in adjacency[v].items():
-                cu = new_id[community[u]]
-                if cu == cv:
-                    if u > v:
-                        new_loops[cv] += w
-                else:
-                    new_adjacency[cv][cu] = new_adjacency[cv].get(cu, 0.0) + w
-        adjacency = new_adjacency
-        loops = new_loops
-        members = new_members
+        indptr, indices, data, assignment = _aggregate(
+            indptr, indices, data, community, assignment
+        )
+        sweep = None
 
     q = modularity(graph, assignment, resolution)
-    return Partition(graph.labels, tuple(assignment), q)
+    return Partition(graph.labels, tuple(assignment.tolist()), q)
 
 
 def citing_threshold_subset(

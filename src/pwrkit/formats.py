@@ -287,7 +287,10 @@ def write_trace_csv(trace: PwrTrace | TraceTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    ordered = sorted(table.rows, key=lambda row: (table.labels.index(row.label), row.k))
+    position: dict[str, int] = {}
+    for idx, label in enumerate(table.labels):
+        position.setdefault(label, idx)
+    ordered = sorted(table.rows, key=lambda row: (position[row.label], row.k))
     for row in ordered:
         writer.writerow([row.label, row.k, repr(row.power), repr(row.weakness), repr(row.ratio)])
     return buffer.getvalue()

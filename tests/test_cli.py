@@ -222,6 +222,23 @@ class TestDecomposeCommand:
         assert code == 2
         assert "no similarity exceeds" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--cosine-threshold", "nan"),
+            ("--cosine-threshold", "inf"),
+            ("--resolution", "nan"),
+            ("--resolution", "inf"),
+            ("--resolution", "-1"),
+        ],
+    )
+    def test_non_finite_or_negative_flag_exits_1(self, capsys, flag, value):
+        code = main(["decompose", "--input", FIXTURE, flag, value])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_negative_threshold_exits_1(self, capsys):
         code = main(["decompose", "--input", FIXTURE, "--cosine-threshold", "-0.5"])
         _out, err = capsys.readouterr()

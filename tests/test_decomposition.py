@@ -89,6 +89,23 @@ class TestCitingCosine:
         sims = citing_cosine_matrix(z)
         assert np.array_equal(sims.values, sims.values.T)
 
+    def test_dense_values_are_built_on_first_read(self):
+        rng = np.random.default_rng(5)
+        z = CitationMatrix(
+            tuple(f"J{i}" for i in range(6)), rng.integers(0, 4, size=(6, 6)).astype(float)
+        )
+        sims = citing_cosine_matrix(z)
+        assert sims._values is None
+        values = sims.values
+        assert values is sims.values and not values.flags.writeable
+        for i, j, s in sims.pairs:
+            assert i < j and values[i, j] == s == values[j, i] and s > 0.0
+
+    def test_overflowing_gram_is_rejected(self):
+        z = build("A B", [[1e200, 1e200], [1e200, 1e200]])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            citing_cosine_matrix(z)
+
     def test_fixture_similarity_value(self, journals):
         sims = citing_cosine_matrix(journals)
         i = journals.index_of("J INFORMETR")
@@ -111,6 +128,18 @@ class TestThresholdGraph:
         sims = SimilarityMatrix(("A", "B"), [[1.0, 0.0], [0.0, 1.0]])
         assert threshold_graph(sims, 0.01).edges == ()
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_rejects_non_finite_threshold(self, tau):
+        sims = SimilarityMatrix(("A", "B"), [[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            threshold_graph(sims, tau)
+
+    def test_edges_come_in_row_major_order(self):
+        sims = SimilarityMatrix(
+            ("A", "B", "C"), [[1.0, 0.2, 0.7], [0.2, 1.0, 0.4], [0.7, 0.4, 1.0]]
+        )
+        assert threshold_graph(sims, 0.1).edges == ((0, 1, 0.2), (0, 2, 0.7), (1, 2, 0.4))
+
 
 class TestUndirectedGraph:
     def test_normalizes_edge_orientation(self):
@@ -129,6 +158,37 @@ class TestUndirectedGraph:
     def test_rejects_non_positive_weight(self):
         with pytest.raises(ValueError, match="positive"):
             UndirectedGraph(("a", "b"), ((0, 1, 0.0),))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # the first bad edge in input order decides, whatever its fault
+            (((0, 1, 1.0), (1, 0, 1.0), (0, 5, 1.0)), "duplicate edge (0, 1)"),
+            (((0, 5, 1.0), (0, 1, 1.0), (1, 0, 1.0)), "edge (0, 5) out of range for 3 nodes"),
+            (((2, -1, 1.0), (1, 1, 1.0)), "edge (2, -1) out of range for 3 nodes"),
+            (((0, 1, 1.0), (2, 2, 1.0), (0, 1, 1.0)), "self-loop on node 2 is not supported"),
+            (((2, 1, 0.0), (0, 1, 1.0), (1, 0, 1.0)), "edge (1, 2) must have positive finite weight"),
+            (((0, 1, 1.0), (2, 0, float("nan")), (0, 9, 1.0)), "edge (0, 2) must have positive finite weight"),
+            # an edge is reported by its first failing check
+            (((0, 1, 1.0), (1, 0, -1.0)), "duplicate edge (0, 1)"),
+            (((0, 1, 1.0), (7, 7, -1.0)), "edge (7, 7) out of range for 3 nodes"),
+            (((0, 1, 1.0), (2**70, 1, 1.0)), f"edge ({2**70}, 1) out of range for 3 nodes"),
+        ],
+    )
+    def test_first_bad_edge_message(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            UndirectedGraph(("a", "b", "c"), edges)
+        assert str(err.value) == message
+
+    def test_edges_view_behaves_like_a_tuple(self):
+        g = UndirectedGraph(("a", "b", "c"), ((2, 0, 1.5), (1, 2, 3)))
+        assert list(g.edges) == [(0, 2, 1.5), (1, 2, 3.0)]
+        assert g.edges[1] == (1, 2, 3.0) and g.edges[-1] == (1, 2, 3.0)
+        assert g.edges[:1] == ((0, 2, 1.5),)
+        assert len(g.edges) == 2 and bool(g.edges)
+        assert g == UndirectedGraph(("a", "b", "c"), [(0, 2, 1.5), (2, 1, 3.0)])
+        assert hash(g) == hash(UndirectedGraph(("a", "b", "c"), g.edges))
+        assert isinstance(g.edges[0][0], int) and isinstance(g.edges[0][2], float)
 
 
 class TestModularity:
@@ -152,6 +212,11 @@ class TestModularity:
     def test_rejects_incomplete_assignment(self):
         with pytest.raises(ValueError, match="covers"):
             modularity(TWO_TRIANGLES, [0, 0, 0])
+
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), -0.5])
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            modularity(TWO_TRIANGLES, [0, 0, 0, 1, 1, 1], resolution=resolution)
 
     def test_resolution_scales_null_model(self):
         # at resolution 2 the degree term doubles: 1 - 2 * 0.5 = 0
@@ -226,6 +291,14 @@ class TestLouvain:
             again = louvain_partition(g)
             assert again.community_of == first.community_of
             assert again.q == first.q
+
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            louvain_partition(TWO_TRIANGLES, resolution=resolution)
+
+    def test_zero_resolution_merges_connected_nodes(self):
+        assert louvain_partition(TWO_TRIANGLES, resolution=0.0).n_communities == 2
 
     def test_sweep_order_must_be_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
