@@ -45,14 +45,11 @@ from .engine import (
     ZeroWeaknessError,
     converged_pwr,
     convergence_report,
-    power_vector_trace,
+    TraceTable,
     pwr_trace,
-    weakness_vector_trace,
 )
 from .formats import (
     ParseError,
-    TraceRow,
-    TraceTable,
     read_csv_matrix,
     read_metric_csv,
     read_pajek,
@@ -95,7 +92,6 @@ __all__ = [
     "SccResult",
     "SelfCitations",
     "SimilarityMatrix",
-    "TraceRow",
     "TraceTable",
     "UndirectedGraph",
     "ZeroDivision",
@@ -121,7 +117,6 @@ __all__ = [
     "nonzero_entries",
     "pagerank",
     "pearson",
-    "power_vector_trace",
     "pwr_trace",
     "read_csv_matrix",
     "read_metric_csv",
@@ -135,7 +130,6 @@ __all__ = [
     "threshold_graph",
     "transpose",
     "union_subset",
-    "weakness_vector_trace",
     "write_csv_matrix",
     "write_metric_csv",
     "write_pajek",

@@ -7,8 +7,9 @@ and ``convert`` (format conversion).
 
 Exit codes: 0 on success, 1 for input or parse problems, 2 when a documented
 contract is violated (zero weakness under the error policy, an empty subset,
-or modularity on an edgeless graph).  Non-convergence of the iteration is a
-diagnostic, not an error, and still exits 0.  When results stream to
+modularity on an edgeless graph, or hub scores of a matrix without
+citations).  Non-convergence of the iteration is a diagnostic, not an error,
+and still exits 0.  When results stream to
 standard output, auxiliary summaries go to standard error so the data stays
 machine-readable; with ``--output`` the summaries use standard output.
 """
@@ -170,10 +171,7 @@ def cmd_pwr(args: argparse.Namespace) -> int:
         raise CliError(EXIT_CONTRACT, str(exc)) from exc
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    if trace.k_max >= 2:
-        report = convergence_report(trace, opts.tol)
-    else:
-        report = ConvergenceReport((), False, None, (), opts.tol)
+    report = convergence_report(trace, opts.tol)
     if args.plot:
         try:
             _write_file(args.plot, render_convergence_svg(trace))
@@ -273,7 +271,10 @@ def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricV
         elif key == "pagerank":
             columns.append(pagerank(z, damping=args.damping))
         elif key == "hits":
-            hubs, authorities = hits(z)
+            try:
+                hubs, authorities = hits(z)
+            except ValueError as exc:
+                raise CliError(EXIT_CONTRACT, str(exc)) from exc
             columns.extend([hubs, authorities])
         else:
             raise CliError(EXIT_INPUT, f"unknown metric {name!r}; pick from pwr, cf, pagerank, hits")
@@ -284,10 +285,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     z = _load_matrix(args.input, args.format)
     try:
         columns = _metric_columns(z, args)
-    except ZeroWeaknessError as exc:
+    except (ZeroWeaknessError, IterationLimitError) as exc:
         raise CliError(EXIT_CONTRACT, str(exc)) from exc
-    except IterationLimitError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc)) from exc
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from exc
     for pair in args.external or []:
         name, _, path_str = pair.partition("=")
         if not name or not path_str:

@@ -168,8 +168,9 @@ def hits(
 
 def _aligned_values(x: MetricVector, y: MetricVector) -> tuple[np.ndarray, np.ndarray]:
     if x.labels != y.labels:
-        only_x = [name for name in x.labels if name not in set(y.labels)]
-        only_y = [name for name in y.labels if name not in set(x.labels)]
+        x_names, y_names = set(x.labels), set(y.labels)
+        only_x = [name for name in x.labels if name not in y_names]
+        only_y = [name for name in y.labels if name not in x_names]
         if only_x or only_y:
             raise ValueError(
                 f"metric labels differ: only in {x.name!r}: {only_x}; only in {y.name!r}: {only_y}"
@@ -209,14 +210,18 @@ def align_to(reference: MetricVector, other: MetricVector) -> MetricVector:
     """Reorder a metric to the reference label order; labels must match as sets."""
     if other.labels == reference.labels:
         return other
-    missing = [name for name in reference.labels if name not in set(other.labels)]
-    extra = [name for name in other.labels if name not in set(reference.labels)]
+    position: dict[str, int] = {}
+    for i, name in enumerate(other.labels):
+        position.setdefault(name, i)
+    reference_names = set(reference.labels)
+    missing = [name for name in reference.labels if name not in position]
+    extra = [name for name in other.labels if name not in reference_names]
     if missing or extra:
         raise ValueError(
             f"metric {other.name!r} labels do not match: missing {missing}, unexpected {extra}"
         )
-    values = [other.value_of(name) for name in reference.labels]
-    return MetricVector(other.name, reference.labels, np.asarray(values))
+    values = other.values[[position[name] for name in reference.labels]]
+    return MetricVector(other.name, reference.labels, values)
 
 
 def compare_rankings(metrics: Sequence[MetricVector]) -> list[list[RankingComparison]]:

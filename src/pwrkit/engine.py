@@ -49,6 +49,13 @@ class ZeroWeaknessError(ValueError):
         self.k = k
 
 
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 @dataclass(frozen=True)
 class PwrOptions:
     """Iteration controls; the defaults mirror common desk practice."""
@@ -61,31 +68,25 @@ class PwrOptions:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_max", int(self.k_max))
-        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "tol", _check_tol(self.tol))
         object.__setattr__(self, "self_citations", SelfCitations(self.self_citations))
         object.__setattr__(self, "zero_division", ZeroDivision(self.zero_division))
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-@dataclass(frozen=True)
-class PwrTrace:
-    """Power, weakness, and ratio vectors for every k from 1 to k_max."""
+@dataclass(frozen=True, eq=False)
+class TraceTable:
+    """Power, weakness and ratio per iteration as (k_max, n) arrays; row k-1 is k."""
 
     labels: tuple[str, ...]
-    powers: tuple[np.ndarray, ...] = field(repr=False)
-    weaknesses: tuple[np.ndarray, ...] = field(repr=False)
-    ratios: tuple[np.ndarray, ...] = field(repr=False)
-    power_scales: tuple[float, ...]
-    weakness_scales: tuple[float, ...]
-    options: PwrOptions
-    degenerate: bool = False
+    powers: np.ndarray = field(repr=False)
+    weaknesses: np.ndarray = field(repr=False)
+    ratios: np.ndarray = field(repr=False)
 
     @property
     def k_max(self) -> int:
-        return len(self.ratios)
+        return self.ratios.shape[0]
 
     def power_at(self, k: int) -> np.ndarray:
         return self.powers[k - 1]
@@ -95,6 +96,25 @@ class PwrTrace:
 
     def ratio_at(self, k: int) -> np.ndarray:
         return self.ratios[k - 1]
+
+    def series(self, label: str, column: str = "ratio") -> list[float]:
+        """One label's power, weakness or ratio for k = 1..k_max."""
+        try:
+            idx = self.labels.index(label)
+        except ValueError:
+            raise KeyError(f"unknown label: {label!r}") from None
+        table = {"power": self.powers, "weakness": self.weaknesses, "ratio": self.ratios}
+        return table[column][:, idx].tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class PwrTrace(TraceTable):
+    """A trace as the engine computed it, with its scale divisors and options."""
+
+    power_scales: tuple[float, ...]
+    weakness_scales: tuple[float, ...]
+    options: PwrOptions
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,61 +141,52 @@ class ConvergenceReport:
 
 def _trace_vectors(
     z: CitationMatrix, k_max: int, normalize: bool
-) -> tuple[list[np.ndarray], list[float], bool]:
-    v = np.ones(z.n, dtype=np.float64)
-    vectors: list[np.ndarray] = []
-    scales: list[float] = []
-    degenerate = False
-    for _ in range(k_max):
-        v = matvec(z, v)
-        total = float(v.sum())
-        if total == 0.0:
-            degenerate = True
-        if normalize and total > 0.0:
-            v = v / total
-            scales.append(total)
-        elif normalize:
-            scales.append(0.0)
-        else:
-            scales.append(1.0)
-        vectors.append(v)
-    return vectors, scales, degenerate
+) -> tuple[np.ndarray, tuple[float, ...], str | None]:
+    """Iterates Z^k 1 for k = 1..k_max, each written into its row of one array.
 
-
-def power_vector_trace(z: CitationMatrix, options: PwrOptions | None = None) -> list[np.ndarray]:
-    """p(k) for k = 1..k_max; unit-sum scaled when normalization is on.
-
-    The matrix is iterated exactly as given; callers wanting the self-citation
-    policy applied should use :func:`pwr_trace`.
+    The third value says why the trace is degenerate (a zero iterate, or the
+    first k whose iterate sum is not finite), or is None.
     """
-    opts = options if options is not None else PwrOptions()
-    if z.n < 1:
-        raise ValueError("matrix must have at least one node")
-    vectors, _scales, degenerate = _trace_vectors(z, opts.k_max, opts.normalize_each_iteration)
-    if degenerate:
-        log.warning("matrix has a zero power iterate; vectors degenerate to zero")
-    return vectors
+    vectors = np.empty((k_max, z.n), dtype=np.float64)
+    scales: list[float] = []
+    problem: str | None = None
+    v = np.ones(z.n, dtype=np.float64)
+    for k, row in enumerate(vectors, start=1):
+        row[:] = matvec(z, v)
+        v = row
+        total = float(v.sum())
+        if problem is None and total == 0.0:
+            problem = "a zero iterate"
+        elif problem is None and not math.isfinite(total):
+            problem = f"an iterate sum that is not finite, first at k={k}"
+        if normalize and total > 0.0:
+            v /= total
+            scales.append(total)
+        else:
+            scales.append(0.0 if normalize else 1.0)
+    return vectors, tuple(scales), problem
 
 
-def weakness_vector_trace(z: CitationMatrix, options: PwrOptions | None = None) -> list[np.ndarray]:
-    """w(k) for k = 1..k_max, the power trace of the transposed matrix."""
-    return power_vector_trace(transpose(z), options)
+def _label_list(labels: tuple[str, ...], indices: np.ndarray) -> str:
+    # bounded whatever n is: the first ten labels, then a count of the rest
+    shown = ", ".join(labels[i] for i in indices[:10])
+    return shown if len(indices) <= 10 else f"{shown} (and {len(indices) - 10} more)"
 
 
 def _warn_one_sided(z: CitationMatrix) -> None:
-    cited_only = [z.labels[i] for i in np.nonzero(column_sums(z) == 0.0)[0]]
-    citing_only = [z.labels[i] for i in np.nonzero(row_sums(z) == 0.0)[0]]
-    if cited_only:
+    cited_only = np.nonzero(column_sums(z) == 0.0)[0]
+    citing_only = np.nonzero(row_sums(z) == 0.0)[0]
+    if len(cited_only):
         log.warning(
             "%d node(s) cite nothing within the set and will score extreme ratios: %s",
             len(cited_only),
-            ", ".join(cited_only),
+            _label_list(z.labels, cited_only),
         )
-    if citing_only:
+    if len(citing_only):
         log.warning(
             "%d node(s) are never cited within the set: %s",
             len(citing_only),
-            ", ".join(citing_only),
+            _label_list(z.labels, citing_only),
         )
 
 
@@ -187,60 +198,57 @@ def pwr_trace(z: CitationMatrix, options: PwrOptions | None = None) -> PwrTrace:
     mat = zero_diagonal(z) if opts.self_citations is SelfCitations.EXCLUDE else z
     _warn_one_sided(mat)
     normalize = opts.normalize_each_iteration
-    p_vecs, p_scales, p_degen = _trace_vectors(mat, opts.k_max, normalize)
-    w_vecs, w_scales, w_degen = _trace_vectors(transpose(mat), opts.k_max, normalize)
-
-    ratios: list[np.ndarray] = []
-    for step, (p, w) in enumerate(zip(p_vecs, w_vecs), start=1):
-        zero_mask = w == 0.0
-        if zero_mask.any() and opts.zero_division is ZeroDivision.ERROR:
-            offender = z.labels[int(np.nonzero(zero_mask)[0][0])]
-            raise ZeroWeaknessError(offender, step)
+    # overflow is reported once through the degenerate flag, not per numpy call
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers, p_scales, p_problem = _trace_vectors(mat, opts.k_max, normalize)
+        weaknesses, w_scales, w_problem = _trace_vectors(transpose(mat), opts.k_max, normalize)
+        divisible = weaknesses != 0.0
+        if opts.zero_division is ZeroDivision.ERROR and not divisible.all():
+            step = int(np.argmin(divisible.all(axis=1)))
+            offender = z.labels[int(np.argmin(divisible[step]))]
+            raise ZeroWeaknessError(offender, step + 1)
         fill = 0.0 if opts.zero_division is ZeroDivision.ZERO else math.inf
-        r = np.divide(p, w, out=np.full(z.n, fill, dtype=np.float64), where=~zero_mask)
-        ratios.append(r)
+        ratios = np.full(powers.shape, fill)
+        np.divide(powers, weaknesses, out=ratios, where=divisible)
 
-    degenerate = p_degen or w_degen
-    if degenerate:
-        log.warning("matrix has a zero iterate; trace flagged as degenerate")
+    problem = p_problem or w_problem
+    if problem:
+        log.warning("matrix has %s; trace flagged as degenerate", problem)
     return PwrTrace(
         labels=z.labels,
-        powers=tuple(p_vecs),
-        weaknesses=tuple(w_vecs),
-        ratios=tuple(ratios),
-        power_scales=tuple(p_scales),
-        weakness_scales=tuple(w_scales),
+        powers=powers,
+        weaknesses=weaknesses,
+        ratios=ratios,
+        power_scales=p_scales,
+        weakness_scales=w_scales,
         options=opts,
-        degenerate=degenerate,
+        degenerate=problem is not None,
     )
 
 
 def convergence_report(trace: PwrTrace, tol: float) -> ConvergenceReport:
-    """Per-k max absolute ratio change, skipping non-finite sentinel entries."""
-    if trace.k_max < 2:
-        raise ValueError("convergence needs a trace with k_max >= 2")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    deltas: list[float] = []
-    k_converged: int | None = None
-    for k in range(2, trace.k_max + 1):
-        prev = trace.ratio_at(k - 1)
-        cur = trace.ratio_at(k)
-        usable = np.isfinite(prev) & np.isfinite(cur)
-        delta = float(np.abs(cur[usable] - prev[usable]).max()) if usable.any() else 0.0
-        deltas.append(delta)
-        if k_converged is None and delta <= tol:
-            k_converged = k
-    sentinel = np.zeros(len(trace.labels), dtype=bool)
-    for r in trace.ratios:
-        sentinel |= ~np.isfinite(r)
-    flagged = tuple(trace.labels[i] for i in np.nonzero(sentinel)[0])
+    """Per-k max absolute ratio change, skipping non-finite sentinel entries.
+
+    A step with no finite pair of ratios has delta nan.  A degenerate trace
+    never converges, and a trace with k_max = 1 has no deltas at all.
+    """
+    tol = _check_tol(tol)
+    ratios = trace.ratios
+    finite = np.isfinite(ratios)
+    flagged = tuple(trace.labels[i] for i in np.nonzero(~finite.all(axis=0))[0])
+    usable = finite[1:] & finite[:-1]
+    change = np.zeros(usable.shape)
+    np.subtract(ratios[1:], ratios[:-1], out=change, where=usable)
+    deltas = np.abs(change, out=change).max(axis=1)
+    deltas[~usable.any(axis=1)] = math.nan
+    below = deltas <= tol
+    converged = bool(below.any()) and not trace.degenerate
     return ConvergenceReport(
-        deltas=tuple(deltas),
-        converged=k_converged is not None,
-        k_converged=k_converged,
+        deltas=tuple(deltas.tolist()),
+        converged=converged,
+        k_converged=int(np.argmax(below)) + 2 if converged else None,
         flagged=flagged,
-        tol=float(tol),
+        tol=tol,
     )
 
 
@@ -254,11 +262,7 @@ def converged_pwr(
     """
     opts = options if options is not None else PwrOptions()
     trace = pwr_trace(z, opts)
-    if trace.k_max >= 2:
-        report = convergence_report(trace, opts.tol)
-    else:
-        sentinel = ~np.isfinite(trace.ratio_at(1))
-        flagged = tuple(trace.labels[i] for i in np.nonzero(sentinel)[0])
-        report = ConvergenceReport((), False, None, flagged, opts.tol)
+    report = convergence_report(trace, opts.tol)
     final_k = report.k_converged if report.converged else trace.k_max
-    return trace.ratio_at(final_k), report
+    # a copy, so the returned vector does not keep the whole (k_max, n) trace alive
+    return trace.ratio_at(final_k).copy(), report

@@ -21,13 +21,12 @@ import io
 import logging
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .comparators import MetricVector
-from .engine import PwrTrace
+from .engine import TraceTable
 from .matrix import CitationMatrix, nonzero_entries
 
 log = logging.getLogger(__name__)
@@ -223,100 +222,50 @@ def write_csv_matrix(z: CitationMatrix) -> str:
     return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    label: str
-    k: int
-    power: float
-    weakness: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class TraceTable:
-    """Flat (label, k) table of power, weakness, and ratio values."""
-
-    labels: tuple[str, ...]
-    rows: tuple[TraceRow, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        per_label: dict[str, list[int]] = {name: [] for name in self.labels}
-        for row in self.rows:
-            if row.label not in per_label:
-                raise ValueError(f"trace row for unknown label {row.label!r}")
-            per_label[row.label].append(row.k)
-        k_sets = {tuple(sorted(ks)) for ks in per_label.values()}
-        if len(k_sets) != 1:
-            raise ValueError("every label must cover the same iterations")
-        ks = k_sets.pop()
-        if ks != tuple(range(1, len(ks) + 1)):
-            raise ValueError("iterations must be contiguous from k=1")
-
-    @property
-    def k_max(self) -> int:
-        return len(self.rows) // max(len(self.labels), 1)
-
-    @classmethod
-    def from_trace(cls, trace: PwrTrace) -> TraceTable:
-        rows = []
-        for idx, name in enumerate(trace.labels):
-            for k in range(1, trace.k_max + 1):
-                rows.append(
-                    TraceRow(
-                        label=name,
-                        k=k,
-                        power=float(trace.power_at(k)[idx]),
-                        weakness=float(trace.weakness_at(k)[idx]),
-                        ratio=float(trace.ratio_at(k)[idx]),
-                    )
-                )
-        return cls(trace.labels, tuple(rows))
-
-    def series(self, label: str, column: str = "ratio") -> list[float]:
-        picked = [row for row in self.rows if row.label == label]
-        if not picked:
-            raise KeyError(f"unknown label: {label!r}")
-        picked.sort(key=lambda row: row.k)
-        return [getattr(row, column) for row in picked]
-
-
-def write_trace_csv(trace: PwrTrace | TraceTable) -> str:
+def write_trace_csv(trace: TraceTable) -> str:
     """Serialize a trace, label-major then k ascending, at full precision."""
-    table = TraceTable.from_trace(trace) if isinstance(trace, PwrTrace) else trace
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
-    position: dict[str, int] = {}
-    for idx, label in enumerate(table.labels):
-        position.setdefault(label, idx)
-    ordered = sorted(table.rows, key=lambda row: (position[row.label], row.k))
-    for row in ordered:
-        writer.writerow([row.label, row.k, repr(row.power), repr(row.weakness), repr(row.ratio)])
+    ks = range(1, trace.k_max + 1)
+    columns = zip(trace.powers.T, trace.weaknesses.T, trace.ratios.T)
+    for name, (powers, weaknesses, ratios) in zip(trace.labels, columns):
+        writer.writerows(
+            [name, k, repr(p), repr(w), repr(r)]
+            for k, p, w, r in zip(ks, powers.tolist(), weaknesses.tolist(), ratios.tolist())
+        )
     return buffer.getvalue()
 
 
 def read_trace_csv(text: str) -> TraceTable:
+    """Inverse of :func:`write_trace_csv`; rows may come in any order."""
     rows = _csv_rows(text)
     if not rows or tuple(rows[0]) != TRACE_HEADER:
         raise ParseError(f"expected header {','.join(TRACE_HEADER)!r}", line=1)
-    parsed: list[TraceRow] = []
-    labels: list[str] = []
+    ks_of: dict[str, list[int]] = {}
+    steps: list[int] = []
+    cells: list[tuple[float, float, float]] = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
             raise ParseError(f"expected 5 cells, got {len(row)}", line=r)
         try:
-            parsed.append(
-                TraceRow(row[0], int(row[1]), float(row[2]), float(row[3]), float(row[4]))
-            )
+            k = int(row[1])
+            cells.append((float(row[2]), float(row[3]), float(row[4])))
         except ValueError:
             raise ParseError(f"malformed trace row: {row!r}", line=r) from None
-        if row[0] not in labels:
-            labels.append(row[0])
-    try:
-        return TraceTable(tuple(labels), tuple(parsed))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        ks_of.setdefault(row[0], []).append(k)
+        steps.append(k - 1)
+    k_sets = {tuple(sorted(ks)) for ks in ks_of.values()}
+    if len(k_sets) != 1:
+        raise ParseError("every label must cover the same iterations")
+    ks = k_sets.pop()
+    if ks != tuple(range(1, len(ks) + 1)):
+        raise ParseError("iterations must be contiguous from k=1")
+    position = {name: i for i, name in enumerate(ks_of)}
+    cols = [position[row[0]] for row in rows[1:]]
+    arrays = np.empty((3, len(ks), len(position)), dtype=np.float64)
+    arrays[:, steps, cols] = np.asarray(cells, dtype=np.float64).T
+    return TraceTable(tuple(position), arrays[0], arrays[1], arrays[2])
 
 
 def read_metric_csv(text: str, name: str = "external") -> MetricVector:
@@ -325,19 +274,21 @@ def read_metric_csv(text: str, name: str = "external") -> MetricVector:
     if not rows or len(rows[0]) != 2:
         raise ParseError("expected a two-column header row", line=1)
     labels: list[str] = []
+    seen: set[str] = set()
     values: list[float] = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise ParseError(f"expected 2 cells, got {len(row)}", line=r)
         if not row[0]:
             raise ParseError("empty label", line=r)
-        if row[0] in labels:
+        if row[0] in seen:
             raise ParseError(f"duplicate label {row[0]!r}", line=r)
         try:
             values.append(float(row[1]))
         except ValueError:
             raise ParseError(f"not a number: {row[1]!r}", line=r) from None
         labels.append(row[0])
+        seen.add(row[0])
     try:
         return MetricVector(name, tuple(labels), np.asarray(values, dtype=np.float64))
     except ValueError as exc:

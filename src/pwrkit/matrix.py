@@ -134,7 +134,12 @@ class NodeSet:
 
     @classmethod
     def from_labels(cls, parent: CitationMatrix, names: Sequence[str]) -> NodeSet:
-        return cls(parent.labels, tuple(parent.index_of(name) for name in names))
+        position = {name: i for i, name in enumerate(parent.labels)}
+        try:
+            indices = tuple(position[name] for name in names)
+        except KeyError as exc:
+            raise KeyError(f"unknown label: {exc.args[0]!r}") from None
+        return cls(parent.labels, indices)
 
     @property
     def labels(self) -> tuple[str, ...]:

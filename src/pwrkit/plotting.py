@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .engine import PwrTrace
+from .engine import TraceTable
 
 _PALETTE = (
     "#1f77b4",
@@ -49,7 +49,7 @@ def _tick_step(span: float) -> float:
     return 10.0 * magnitude
 
 
-def render_convergence_svg(trace: PwrTrace, width: int = 820, height: int = 420) -> str:
+def render_convergence_svg(trace: TraceTable, width: int = 820, height: int = 420) -> str:
     """One polyline per node of r(k) against k, with a colour legend.
 
     Non-finite sentinel ratios are dropped from their polyline; a trace with
@@ -57,7 +57,7 @@ def render_convergence_svg(trace: PwrTrace, width: int = 820, height: int = 420)
     """
     if trace.k_max < 2:
         raise ValueError("plot needs a trace with k_max >= 2")
-    ratio_rows = np.stack(trace.ratios)
+    ratio_rows = trace.ratios
     finite = np.isfinite(ratio_rows)
     if not finite.any():
         raise ValueError("trace has no finite ratios to plot")

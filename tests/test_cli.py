@@ -7,6 +7,7 @@ end to end.
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 
@@ -27,12 +28,48 @@ from pwrkit.cli import main
 
 FIXTURE = str(data_path("jasist_plus.csv"))
 
+# sha256 of `pwr` standard output and of the --plot chart on the bundled set,
+# frozen from the release before traces became (k_max, n) arrays; the chart
+# needs k_max >= 2, so the k_max = 1 cases have none.
+FROZEN_PWR_DIGESTS = {
+    ("include", "1"): ("cfc55d39b74358483e222a21b4034c3c1a54beeae5430809cd6c02b11a9a9991", None),
+    ("exclude", "1"): ("188a5062420c482c5bbea560fe12014c5d20ad94c5e8f2725a908f69abc21403", None),
+    ("include", "20"): (
+        "9b761b464e1d724986d764630d7d10f95729688e4a3e4742438b2b6d2208bbcb",
+        "a0621ef6882901da64d6b7afa2fd522e857614bab1e6aaec84a5c690bde86521",
+    ),
+    ("exclude", "20"): (
+        "882b336b4bd529a73295dc106e8029de73a1878a074cd21d72afb024232274e3",
+        "5f9d7b1da5cea38593b8676a1d88e28d3b2489f6cd31eb77eaaa3f2718fabc6a",
+    ),
+}
+
 
 @pytest.fixture
 def zero_weakness_csv(tmp_path):
     path = tmp_path / "zw.csv"
     path.write_text(",A,B\nA,0,5\nB,0,0\n", encoding="utf-8")
     return str(path)
+
+
+def _csv_file(tmp_path, text: str) -> str:
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(("self_citations", "k_max"), sorted(FROZEN_PWR_DIGESTS))
+def test_bundled_pwr_output_matches_frozen_digests(self_citations, k_max, capsys, tmp_path):
+    stdout_digest, chart_digest = FROZEN_PWR_DIGESTS[(self_citations, k_max)]
+    argv = ["pwr", "--input", FIXTURE, "--self-citations", self_citations, "--k-max", k_max]
+    chart = tmp_path / "chart.svg"
+    if chart_digest:
+        argv += ["--plot", str(chart)]
+    assert main(argv) == 0
+    out, _err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+    if chart_digest:
+        assert hashlib.sha256(chart.read_bytes()).hexdigest() == chart_digest
 
 
 class TestPwrCommand:
@@ -91,6 +128,40 @@ class TestPwrCommand:
         assert code == 0
         assert "inf" in out
         assert "flagged=A" in err
+
+    def test_single_iteration_flags_like_longer_traces(self, capsys, zero_weakness_csv):
+        code = main(["pwr", "--input", zero_weakness_csv, "--zero-div", "inf", "--k-max", "1"])
+        _out, err = capsys.readouterr()
+        assert code == 0
+        assert "converged=no k_converged=- final_delta=-\nflagged=A\n" in err
+
+    @pytest.mark.parametrize(
+        ("zero_div", "summary"),
+        [
+            ("zero", "converged=no k_converged=- final_delta=0.0\n"),
+            ("inf", "converged=no k_converged=- final_delta=nan\nflagged=A,B,C\n"),
+        ],
+    )
+    def test_nilpotent_chain_does_not_converge(self, zero_div, summary, capsys, tmp_path):
+        chain = _csv_file(tmp_path, ",A,B,C\nA,0,1,0\nB,0,0,1\nC,0,0,0\n")
+        code = main(["pwr", "--input", chain, "--k-max", "5", "--zero-div", zero_div])
+        _out, err = capsys.readouterr()
+        assert code == 0
+        assert err.endswith(summary)
+
+    def test_overflow_does_not_converge(self, capsys, tmp_path):
+        data = _csv_file(tmp_path, ",A,B\nA,1,3\nB,2,2\n")
+        code = main(["pwr", "--input", data, "--no-normalize", "--k-max", "600"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out.endswith("B,600,inf,inf,nan\n")
+        assert err.endswith("converged=no k_converged=- final_delta=nan\nflagged=A,B\n")
+
+    def test_nan_tol_exits_1(self, capsys):
+        code = main(["pwr", "--input", FIXTURE, "--tol", "nan"])
+        _out, err = capsys.readouterr()
+        assert code == 1
+        assert "error: tol must be positive and finite, got nan" in err
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code = main(["pwr", "--input", str(tmp_path / "nope.csv")])
@@ -297,6 +368,30 @@ class TestCompareCommand:
         _out, err = capsys.readouterr()
         assert code == 1
         assert "do not match" in err
+
+    def test_nan_tol_exits_1(self, capsys):
+        code = main(["compare", "--input", FIXTURE, "--tol", "nan"])
+        _out, err = capsys.readouterr()
+        assert code == 1
+        assert "error: tol must be positive and finite, got nan" in err
+
+    @pytest.mark.parametrize("damping", ["2", "nan", "0"])
+    def test_bad_damping_exits_1(self, damping, capsys):
+        code = main(["compare", "--input", FIXTURE, "--damping", damping])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: damping must be in (0, 1)")
+
+    def test_matrix_without_citations_exits_2(self, capsys, tmp_path):
+        data = _csv_file(tmp_path, ",A,B\nA,0,0\nB,0,0\n")
+        code = main(["compare", "--input", data])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            "error: matrix has no citations; hub and authority scores are undefined\n"
+        )
 
     def test_output_file_duplicates_table(self, capsys, tmp_path):
         target = tmp_path / "table.csv"

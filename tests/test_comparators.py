@@ -7,6 +7,8 @@ solvers.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from pwrkit import (
     pagerank,
     pearson,
     pwr_trace,
+    read_metric_csv,
     row_sums,
     spearman,
 )
@@ -213,6 +216,20 @@ class TestAlignment:
         aligned = align_to(ref, other)
         assert aligned.labels == ("A", "B", "C")
         assert aligned.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_align_reversed_20k_labels_quickly(self):
+        # label lookups are dict-based: a quadratic scan of 20k labels takes
+        # seconds, the linear path tens of milliseconds
+        labels = [f"J{i:05d}" for i in range(20_000)]
+        ref = MetricVector("ref", labels, np.zeros(len(labels)))
+        rows = [f"{name},{i}\n" for i, name in enumerate(labels)]
+        text = "label,value\n" + "".join(reversed(rows))
+        start = time.perf_counter()
+        aligned = align_to(ref, read_metric_csv(text, name="m"))
+        elapsed = time.perf_counter() - start
+        assert aligned.labels == ref.labels
+        assert aligned.values.tolist() == [float(i) for i in range(len(labels))]
+        assert elapsed < 1.0
 
     def test_align_reports_missing_and_extra(self):
         ref = metric("ref", "A B", [0, 0])

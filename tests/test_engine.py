@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pwrkit import (
     CitationMatrix,
+    ConvergenceReport,
     PwrOptions,
     SelfCitations,
     ZeroDivision,
@@ -20,11 +21,9 @@ from pwrkit import (
     converged_pwr,
     convergence_report,
     matrix_power_oracle,
-    power_vector_trace,
     pwr_trace,
     row_sums,
     transpose,
-    weakness_vector_trace,
 )
 
 from .conftest import build
@@ -56,48 +55,52 @@ class TestOptions:
         with pytest.raises(ValueError, match="tol"):
             PwrOptions(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            PwrOptions(tol=tol)
+
 
 class TestVectorTraces:
     def test_first_power_vector_is_normalized_row_sums(self):
         z = build("A B", [[1, 3], [2, 2]])
-        p1 = power_vector_trace(z, PwrOptions(k_max=1))[0]
+        p1 = pwr_trace(z, PwrOptions(k_max=1)).power_at(1)
         assert p1.tolist() == [0.5, 0.5]
 
     def test_unnormalized_vectors_match_matrix_powers(self):
         z = build("A B C", [[0, 2, 1], [1, 0, 3], [2, 1, 0]])
-        opts = PwrOptions(k_max=4, normalize_each_iteration=False)
-        powers = power_vector_trace(z, opts)
-        weaknesses = weakness_vector_trace(z, opts)
+        trace = pwr_trace(z, PwrOptions(k_max=4, normalize_each_iteration=False))
+        assert trace.powers.shape == trace.weaknesses.shape == trace.ratios.shape == (4, 3)
         for k in range(1, 5):
             oracle = matrix_power_oracle(z, k)
-            np.testing.assert_allclose(powers[k - 1], row_sums(oracle), rtol=1e-12)
-            np.testing.assert_allclose(weaknesses[k - 1], column_sums(oracle), rtol=1e-12)
+            np.testing.assert_allclose(trace.powers[k - 1], row_sums(oracle), rtol=1e-12)
+            np.testing.assert_allclose(trace.weaknesses[k - 1], column_sums(oracle), rtol=1e-12)
 
     def test_weakness_is_power_of_transpose(self):
         z = build("A B", [[1, 3], [2, 2]])
         opts = PwrOptions(k_max=3)
         np.testing.assert_array_equal(
-            np.stack(weakness_vector_trace(z, opts)),
-            np.stack(power_vector_trace(transpose(z), opts)),
+            pwr_trace(z, opts).weaknesses, pwr_trace(transpose(z), opts).powers
         )
 
-    def test_vector_trace_ignores_self_citation_policy(self):
-        # policy application belongs to pwr_trace; the bare traces iterate
-        # the matrix exactly as given
-        z = build("A B", [[9, 1], [1, 9]])
-        opts = PwrOptions(k_max=1, self_citations="exclude")
-        p1 = power_vector_trace(z, opts)[0]
-        assert p1.tolist() == [0.5, 0.5]
+    def test_power_trace_follows_self_citation_policy(self):
+        # row sums are [10, 11] with the diagonal and [1, 2] without it
+        z = build("A B", [[9, 1], [2, 9]])
+        with_diag = pwr_trace(z, PwrOptions(k_max=1)).power_at(1)
+        without = pwr_trace(z, PwrOptions(k_max=1, self_citations="exclude")).power_at(1)
+        np.testing.assert_allclose(with_diag, [10 / 21, 11 / 21], rtol=1e-12)
+        np.testing.assert_allclose(without, [1 / 3, 2 / 3], rtol=1e-12)
 
     def test_all_zero_matrix_gives_zero_vectors(self):
         z = build("A B", [[0, 0], [0, 0]])
-        vectors = power_vector_trace(z, PwrOptions(k_max=3))
-        assert all(v.tolist() == [0.0, 0.0] for v in vectors)
+        trace = pwr_trace(z, PwrOptions(k_max=3))
+        assert trace.powers.tolist() == [[0.0, 0.0]] * 3
+        assert trace.weaknesses.tolist() == [[0.0, 0.0]] * 3
 
     def test_empty_matrix_rejected(self):
         z = CitationMatrix((), np.zeros((0, 0)))
         with pytest.raises(ValueError, match="at least one node"):
-            power_vector_trace(z)
+            pwr_trace(z)
 
 
 class TestPwrTrace:
@@ -111,8 +114,9 @@ class TestPwrTrace:
         z = build("A B", [[1, 3], [2, 2]])
         trace = pwr_trace(z, PwrOptions(k_max=5))
         assert trace.k_max == 5
-        assert trace.power_at(1) is trace.powers[0]
-        assert trace.ratio_at(5) is trace.ratios[4]
+        assert np.shares_memory(trace.power_at(1), trace.powers[0])
+        assert np.shares_memory(trace.ratio_at(5), trace.ratios[4])
+        np.testing.assert_array_equal(trace.weakness_at(2), trace.weaknesses[1])
 
     def test_self_citation_exclusion_drops_diagonal(self):
         z = build("A B", [[9, 1], [2, 9]])
@@ -147,6 +151,37 @@ class TestPwrTrace:
         text = caplog.text
         assert "cite nothing" in text and "A" in text
         assert "never cited" in text and "B" in text
+
+    def test_one_sided_warning_lists_at_most_ten_labels(self, caplog):
+        # node 0 is cited by every other node and cites nothing itself
+        n = 500
+        rows = np.zeros((n, n))
+        rows[0, 1:] = 1.0
+        z = CitationMatrix(tuple(f"LONG-JOURNAL-NAME-{i:04d}" for i in range(n)), rows)
+        with caplog.at_level(logging.WARNING, logger="pwrkit.engine"):
+            pwr_trace(z, PwrOptions(k_max=1))
+        never_cited = [r.getMessage() for r in caplog.records if "never cited" in r.getMessage()]
+        assert never_cited == [
+            "499 node(s) are never cited within the set: "
+            + ", ".join(f"LONG-JOURNAL-NAME-{i:04d}" for i in range(1, 11))
+            + " (and 489 more)"
+        ]
+        assert max(len(r.getMessage()) for r in caplog.records) < 400
+
+    def test_overflow_is_degenerate_and_logged_once(self, caplog):
+        # grand totals grow like 4^k and leave double range at k = 512
+        z = build("A B", [[1, 3], [2, 2]])
+        opts = PwrOptions(k_max=600, normalize_each_iteration=False)
+        with caplog.at_level(logging.WARNING, logger="pwrkit.engine"):
+            trace = pwr_trace(z, opts)
+        assert trace.degenerate
+        assert np.isfinite(trace.ratio_at(511)).all()
+        assert not np.isfinite(trace.ratio_at(600)).any()
+        assert caplog.messages == [
+            "matrix has an iterate sum that is not finite, first at k=512; "
+            "trace flagged as degenerate"
+        ]
+        assert not pwr_trace(z, PwrOptions(k_max=400, normalize_each_iteration=False)).degenerate
 
 
 class TestZeroDivisionPolicies:
@@ -185,13 +220,22 @@ class TestZeroDivisionPolicies:
 class TestConvergenceReport:
     def test_requires_two_iterations(self):
         trace = pwr_trace(build("A", [[1]]), PwrOptions(k_max=1))
-        with pytest.raises(ValueError, match="k_max >= 2"):
-            convergence_report(trace, 0.01)
+        report = convergence_report(trace, 0.01)
+        assert report == ConvergenceReport((), False, None, (), 0.01)
+
+    def test_single_iteration_still_flags_sentinels(self):
+        # same flagged rule as longer traces: any non-finite ratio at any k
+        z = build("A B", [[0, 5], [0, 0]])
+        for k_max, flagged in ((1, ("A",)), (2, ("A", "B"))):
+            trace = pwr_trace(z, PwrOptions(k_max=k_max, zero_division="infinite"))
+            assert convergence_report(trace, 0.01).flagged == flagged
 
     def test_requires_positive_tol(self):
         trace = pwr_trace(build("A", [[1]]), PwrOptions(k_max=3))
         with pytest.raises(ValueError, match="tol"):
             convergence_report(trace, 0.0)
+        with pytest.raises(ValueError, match="tol"):
+            convergence_report(trace, math.nan)
 
     def test_constant_trace_converges_at_two(self):
         # all-ones matrix: every ratio is 1 at every k
@@ -240,6 +284,27 @@ class TestConvergenceReport:
         assert report.converged
         assert all(math.isfinite(d) for d in report.deltas)
 
+    def test_nilpotent_chain_never_converges(self):
+        # A <- B <- C: Z^3 = 0, so every ratio is a policy fill from k = 3 on
+        z = build("A B C", [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        zero = convergence_report(pwr_trace(z, PwrOptions(k_max=5)), 1e-6)
+        assert zero.deltas[-1] == 0.0
+        assert not zero.converged and zero.k_converged is None
+        inf = convergence_report(pwr_trace(z, PwrOptions(k_max=5, zero_division="infinite")), 1e-6)
+        # k = 2 compares C alone; from k = 3 on no ratio is finite
+        assert inf.deltas[0] == 0.0
+        assert all(math.isnan(d) for d in inf.deltas[1:])
+        assert not inf.converged and inf.k_converged is None
+        assert inf.flagged == ("A", "B", "C")
+
+    def test_overflowed_trace_never_converges(self):
+        z = build("A B", [[1, 3], [2, 2]])
+        trace = pwr_trace(z, PwrOptions(k_max=600, normalize_each_iteration=False))
+        report = convergence_report(trace, 1e-6)
+        assert math.isnan(report.deltas[-1])
+        assert not report.converged and report.k_converged is None
+        assert report.flagged == ("A", "B")
+
     def test_first_delta_below_tol_wins(self, journals):
         trace = pwr_trace(journals, PwrOptions(k_max=20, self_citations="exclude"))
         report = convergence_report(trace, 0.01)
@@ -268,6 +333,12 @@ class TestConvergedPwr:
         assert not report.converged
         assert report.deltas == ()
         np.testing.assert_allclose(r, [4 / 3, 4 / 5], rtol=1e-12)
+
+    def test_degenerate_trace_returns_last_vector(self):
+        z = build("A B C", [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        r, report = converged_pwr(z, PwrOptions(k_max=5))
+        assert not report.converged
+        assert r.tolist() == [0.0, 0.0, 0.0]
 
 
 def positive_matrices(max_n: int = 6):

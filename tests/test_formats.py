@@ -14,7 +14,6 @@ from pwrkit import (
     MetricVector,
     ParseError,
     PwrOptions,
-    TraceRow,
     TraceTable,
     pwr_trace,
     read_csv_matrix,
@@ -164,39 +163,59 @@ class TestCsvMatrix:
             read_csv_matrix("")
 
 
+TRACE_TEXT_HEADER = "label,k,power,weakness,ratio\n"
+
+
 class TestTraceTable:
     def test_from_trace_and_series(self):
+        # an engine trace is itself a trace table; no conversion step
         z = build("A B", [[1, 3], [2, 2]])
         trace = pwr_trace(z, PwrOptions(k_max=3))
-        table = TraceTable.from_trace(trace)
-        assert table.k_max == 3
-        assert table.series("A") == [float(trace.ratio_at(k)[0]) for k in (1, 2, 3)]
-        assert table.series("B", column="power") == [
+        assert isinstance(trace, TraceTable)
+        assert trace.k_max == 3
+        assert trace.series("A") == [float(trace.ratio_at(k)[0]) for k in (1, 2, 3)]
+        assert trace.series("B", column="power") == [
             float(trace.power_at(k)[1]) for k in (1, 2, 3)
         ]
 
     def test_series_unknown_label(self):
-        table = TraceTable(("A",), (TraceRow("A", 1, 1.0, 1.0, 1.0),))
+        table = read_trace_csv(TRACE_TEXT_HEADER + "A,1,1.0,1.0,1.0\n")
         with pytest.raises(KeyError):
             table.series("B")
 
     def test_rows_must_cover_same_iterations(self):
-        rows = (
-            TraceRow("A", 1, 1.0, 1.0, 1.0),
-            TraceRow("A", 2, 1.0, 1.0, 1.0),
-            TraceRow("B", 1, 1.0, 1.0, 1.0),
-        )
+        text = TRACE_TEXT_HEADER + "A,1,1.0,1.0,1.0\nA,2,1.0,1.0,1.0\nB,1,1.0,1.0,1.0\n"
         with pytest.raises(ValueError, match="same iterations"):
-            TraceTable(("A", "B"), rows)
+            read_trace_csv(text)
 
     def test_iterations_must_start_at_one(self):
-        rows = (TraceRow("A", 2, 1.0, 1.0, 1.0),)
         with pytest.raises(ValueError, match="contiguous from k=1"):
-            TraceTable(("A",), rows)
+            read_trace_csv(TRACE_TEXT_HEADER + "A,2,1.0,1.0,1.0\n")
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown label"):
-            TraceTable(("A",), (TraceRow("B", 1, 1.0, 1.0, 1.0),))
+    def test_duplicate_rows_rejected(self):
+        text = TRACE_TEXT_HEADER + "A,1,1.0,1.0,1.0\nA,1,2.0,2.0,2.0\n"
+        with pytest.raises(ParseError, match="contiguous from k=1"):
+            read_trace_csv(text)
+        text = TRACE_TEXT_HEADER + "A,1,1.0,1.0,1.0\nA,1,2.0,2.0,2.0\nB,1,1.0,1.0,1.0\n"
+        with pytest.raises(ParseError, match="same iterations"):
+            read_trace_csv(text)
+
+    def test_header_only_rejected(self):
+        with pytest.raises(ParseError, match="same iterations"):
+            read_trace_csv(TRACE_TEXT_HEADER)
+
+    def test_rows_in_any_order(self):
+        rows = ["B,2,6.0,7.0,8.0", "A,2,1.5,2.5,3.5", "B,1,5.0,6.0,7.0", "A,1,1.0,2.0,3.0"]
+        text = TRACE_TEXT_HEADER + "\n".join(rows) + "\n"
+        table = read_trace_csv(text)
+        assert table.labels == ("B", "A")
+        assert table.powers.tolist() == [[5.0, 1.0], [6.0, 1.5]]
+        assert table.series("A", column="weakness") == [2.0, 2.5]
+        assert table.series("B") == [7.0, 8.0]
+        lines = write_trace_csv(table).splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["B", "1"], ["B", "2"], ["A", "1"], ["A", "2"]
+        ]
 
 
 class TestTraceCsv:
@@ -263,6 +282,32 @@ def integer_matrices(draw):
     )
     labels = tuple(f"J{i}" for i in range(n))
     return CitationMatrix(labels, np.asarray(cells, dtype=np.float64).reshape(n, n))
+
+
+@st.composite
+def trace_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    k_max = draw(st.integers(min_value=1, max_value=6))
+    # commas and quotes in labels exercise the CSV quoting
+    names = st.text(alphabet='AB ,"x', min_size=1, max_size=4)
+    labels = draw(st.lists(names, min_size=n, max_size=n, unique=True))
+    cells = st.floats(allow_nan=False, allow_infinity=True, width=64)
+    arrays = [
+        np.asarray(draw(st.lists(cells, min_size=k_max * n, max_size=k_max * n))).reshape(k_max, n)
+        for _ in range(3)
+    ]
+    return TraceTable(tuple(labels), *arrays)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace_tables())
+def test_trace_csv_round_trip_is_bit_exact(table):
+    back = read_trace_csv(write_trace_csv(table))
+    assert back.labels == table.labels
+    for column in ("powers", "weaknesses", "ratios"):
+        # compare bit patterns so -0.0 and the inf sentinels must survive too
+        got, want = getattr(back, column), getattr(table, column)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @settings(max_examples=60, deadline=None)
