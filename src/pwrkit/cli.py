@@ -102,12 +102,16 @@ def _detect_format(path: Path, override: str | None, default: str | None = None)
     raise CliError(EXIT_INPUT, f"cannot infer format of {path}; pass an explicit format flag")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+
+
 def _load_matrix(path_str: str, fmt: str | None) -> CitationMatrix:
     path = Path(path_str)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     kind = _detect_format(path, fmt)
     try:
         return read_pajek(text) if kind == "pajek" else read_csv_matrix(text)
@@ -116,7 +120,10 @@ def _load_matrix(path_str: str, fmt: str | None) -> CitationMatrix:
 
 
 def _matrix_text(z: CitationMatrix, kind: str) -> str:
-    return write_pajek(z) if kind == "pajek" else write_csv_matrix(z)
+    try:
+        return write_pajek(z) if kind == "pajek" else write_csv_matrix(z)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from exc
 
 
 def _write_file(path_str: str, text: str) -> None:
@@ -183,7 +190,6 @@ def cmd_pwr(args: argparse.Namespace) -> int:
 
 def cmd_scc(args: argparse.Namespace) -> int:
     z = _load_matrix(args.input, args.format)
-    result = strongly_connected_components(z)
     if args.largest:
         if not args.output:
             raise CliError(EXIT_INPUT, "--largest needs --output to receive the subgraph")
@@ -192,6 +198,7 @@ def cmd_scc(args: argparse.Namespace) -> int:
         _write_file(args.output, _matrix_text(sub, kind))
         print(f"wrote largest component ({sub.n} node(s)) to {args.output}")
         return EXIT_OK
+    result = strongly_connected_components(z)
     print(f"{len(result.components)} strongly connected component(s)")
     for idx, comp in enumerate(result.components):
         print(f"component {idx}: size {len(comp)}: {', '.join(comp.labels)}")
@@ -200,10 +207,7 @@ def cmd_scc(args: argparse.Namespace) -> int:
 
 def _read_label_file(path_str: str, z: CitationMatrix) -> NodeSet:
     path = Path(path_str)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     names = [line.strip() for line in lines if line.strip()]
     try:
         return NodeSet.from_labels(z, names)
@@ -294,10 +298,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not name or not path_str:
             raise CliError(EXIT_INPUT, f"--external expects name=file.csv, got {pair!r}")
         path = Path(path_str)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+        text = _read_text(path)
         try:
             metric = read_metric_csv(text, name=name)
             columns.append(align_to(columns[0], metric) if columns else metric)

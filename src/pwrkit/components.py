@@ -1,17 +1,21 @@
 """Strongly connected components of a citation matrix.
 
 A positive entry ``Z[i][j]`` is read as an arc from citing journal ``j`` to
-cited journal ``i``; self-loops are ignored for reachability.  Components are
-computed with an iterative Tarjan walk so deep graphs cannot exhaust the
-Python recursion limit, and are reported in a deterministic order: sorted by
-the smallest node index they contain, members ascending.
+cited journal ``i``; self-loops do not affect reachability.  Components come
+from :func:`scipy.sparse.csgraph.connected_components` (no recursion, so deep
+graphs are safe) and are reported in a deterministic order: sorted by the
+smallest node index they contain, members ascending.  A graph and its
+transpose have the same strong components, so the matrix is read as stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import CitationMatrix, NodeSet, extract_subgraph, nonzero_entries
+import numpy as np
+from scipy.sparse.csgraph import connected_components
+
+from .matrix import CitationMatrix, NodeSet, extract_subgraph
 
 
 @dataclass(frozen=True)
@@ -25,71 +29,23 @@ class SccResult:
         return tuple(len(c) for c in self.components)
 
 
-def _successors(z: CitationMatrix) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in range(z.n)]
-    for i, j, _w in nonzero_entries(z):
-        if i != j:
-            succ[j].append(i)
-    for targets in succ:
-        targets.sort()
-    return succ
+def _component_ids(z: CitationMatrix) -> np.ndarray:
+    """Component id per node; ids ascend with each component's smallest member."""
+    # csgraph counts explicit stored zeros as arcs; a CSR matrix can hold them.
+    _count, raw = connected_components(z.entries != 0, directed=True, connection="strong")
+    # raw ids are 0..count-1; first[c] is the smallest member of raw component c
+    _ids, first = np.unique(raw, return_index=True)
+    return np.argsort(np.argsort(first))[raw]
 
 
 def strongly_connected_components(z: CitationMatrix) -> SccResult:
-    """Tarjan's algorithm over the citing-to-cited arc graph."""
-    n = z.n
-    succ = _successors(z)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    found: list[list[int]] = []
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, next_pos = work.pop()
-            if next_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for pos in range(next_pos, len(succ[v])):
-                u = succ[v][pos]
-                if index[u] == -1:
-                    work.append((v, pos + 1))
-                    work.append((u, 0))
-                    descended = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                members: list[int] = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    members.append(u)
-                    if u == v:
-                        break
-                members.sort()
-                found.append(members)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    found.sort(key=lambda members: members[0])
-    component_of = [0] * n
-    for comp_idx, members in enumerate(found):
-        for node in members:
-            component_of[node] = comp_idx
-    components = tuple(NodeSet(z.labels, tuple(members)) for members in found)
-    return SccResult(components, tuple(component_of))
+    """Strong components of the citing-to-cited arc graph."""
+    ids = _component_ids(z)
+    members = np.argsort(ids, kind="stable")
+    # splitting at every cumulative size leaves one empty tail to drop
+    groups = np.split(members, np.cumsum(np.bincount(ids)))[:-1]
+    components = tuple(NodeSet(z.labels, group.tolist()) for group in groups)
+    return SccResult(components, tuple(ids.tolist()))
 
 
 def largest_strong_component(z: CitationMatrix) -> CitationMatrix:
@@ -98,8 +54,7 @@ def largest_strong_component(z: CitationMatrix) -> CitationMatrix:
     Size ties go to the component containing the smallest node index, which
     is the first one in the deterministic component order.
     """
-    result = strongly_connected_components(z)
-    # max() keeps the first maximum, and components are ordered by smallest
-    # contained node index, so ties resolve to that component.
-    best = max(result.components, key=len)
-    return extract_subgraph(z, best)
+    ids = _component_ids(z)
+    # argmax keeps the first maximum, the lowest id, so ties resolve as documented.
+    best = np.argmax(np.bincount(ids))
+    return extract_subgraph(z, np.flatnonzero(ids == best).tolist())

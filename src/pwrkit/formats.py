@@ -152,9 +152,15 @@ def read_pajek(text: str) -> CitationMatrix:
 
 
 def write_pajek(z: CitationMatrix) -> str:
-    """Emit vertices in label order and one arc line per nonzero entry."""
+    """Emit vertices in label order and one arc line per nonzero entry.
+
+    A label holding a quote or a line break cannot be read back as written,
+    so it raises ``ValueError`` instead of being emitted.
+    """
     out = [f"*Vertices {z.n}"]
     for i, name in enumerate(z.labels, start=1):
+        if '"' in name or name.splitlines() != [name]:
+            raise ValueError(f"vertex {i}: label {name!r} holds a quote or a line break")
         out.append(f'{i} "{name}"')
     out.append("*Arcs")
     for i, j, weight in nonzero_entries(z):
@@ -163,7 +169,10 @@ def write_pajek(z: CitationMatrix) -> str:
 
 
 def _csv_rows(text: str) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(text.lstrip("﻿"))))
+    try:
+        return list(csv.reader(io.StringIO(text.lstrip("﻿"))))
+    except csv.Error as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def read_csv_matrix(text: str) -> CitationMatrix:

@@ -213,17 +213,9 @@ def extract_subgraph(z: CitationMatrix, nodes: NodeSet | Sequence[int]) -> Citat
 
 def nonzero_entries(z: CitationMatrix) -> Iterator[tuple[int, int, float]]:
     """Yield (row, column, weight) for every nonzero entry in row-major order."""
-    if z.is_sparse:
-        mat = z.entries
-        indptr, indices, data = mat.indptr, mat.indices, mat.data
-        for i in range(z.n):
-            for p in range(indptr[i], indptr[i + 1]):
-                if data[p] != 0.0:
-                    yield i, int(indices[p]), float(data[p])
-    else:
-        rows, cols = np.nonzero(z.entries)
-        for i, j in zip(rows, cols):
-            yield int(i), int(j), float(z.entries[i, j])
+    coo = sparse.coo_array(z.entries)
+    keep = coo.data != 0.0
+    yield from zip(coo.row[keep].tolist(), coo.col[keep].tolist(), coo.data[keep].tolist())
 
 
 def matrix_power_oracle(z: CitationMatrix, k: int) -> CitationMatrix:

@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pwrkit import (
     data_path,
@@ -177,6 +179,14 @@ class TestPwrCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_oversized_csv_field_exits_1(self, capsys, tmp_path):
+        # one cell past the csv module's 128 KiB field limit
+        label = "A" * 200_000
+        code = main(["pwr", "--input", _csv_file(tmp_path, f",{label}\n{label},1\n")])
+        _out, err = capsys.readouterr()
+        assert code == 1
+        assert "error: " in err and "field larger than field limit" in err
+
     def test_unknown_extension_needs_format_flag(self, capsys, tmp_path):
         data = tmp_path / "matrix.txt"
         data.write_text(write_csv_matrix(jasist_plus_matrix()), encoding="utf-8")
@@ -223,6 +233,19 @@ class TestSccCommand:
         sub = read_csv_matrix(target.read_text(encoding="utf-8"))
         assert sub.labels == ("A", "B")
         assert sub.entry(0, 1) == 4.0
+
+    def test_largest_computes_components_once(self, capsys, tmp_path, monkeypatch):
+        def refuse(_z):
+            raise AssertionError("scc --largest must not list every component")
+
+        monkeypatch.setattr("pwrkit.cli.strongly_connected_components", refuse)
+        monkeypatch.setattr("pwrkit.components.strongly_connected_components", refuse)
+        target = tmp_path / "core.net"
+        code = main(["scc", "--input", FIXTURE, "--largest", "--output", str(target)])
+        out, _err = capsys.readouterr()
+        assert code == 0
+        assert "wrote largest component (7 node(s))" in out
+        assert read_pajek(target.read_text(encoding="utf-8")) == jasist_plus_matrix()
 
     def test_largest_requires_output(self, capsys):
         code = main(["scc", "--input", FIXTURE, "--largest"])
@@ -461,3 +484,43 @@ def test_pajek_writer_round_trip_through_cli(tmp_path, capsys):
     assert main(["convert", "--input", str(src), "--output", str(out_path)]) == 0
     capsys.readouterr()
     assert read_csv_matrix(out_path.read_text(encoding="utf-8")) == z
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--input", "{src}", "--output", "{dst}"],
+        ["subset", "--input", "{src}", "--target", "A", "--output", "{dst}"],
+        ["scc", "--input", "{src}", "--largest", "--output", "{dst}"],
+    ],
+)
+def test_label_pajek_cannot_carry_exits_1(argv, capsys, tmp_path):
+    src = _csv_file(tmp_path, ',A,"B""C"\nA,0,1\n"B""C",1,0\n')
+    dst = tmp_path / "out.net"
+    code = main([arg.format(src=src, dst=dst) for arg in argv])
+    _out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "error: vertex 2: label 'B\"C' holds a quote or a line break\n"
+    assert not dst.exists()
+
+
+# The same bad bytes reach each of the three file-reading flags.
+NON_UTF8_ARGV = {
+    "input": ["pwr", "--input", "{bad}"],
+    "union-with": ["subset", "--input", FIXTURE, "--target", "JASIST", "--union-with", "{bad}"],
+    "external": ["compare", "--input", FIXTURE, "--metrics", "cf", "--external", "x={bad}"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(NON_UTF8_ARGV))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.binary(max_size=16), tail=st.binary(max_size=16))
+def test_non_utf8_file_exits_1_without_traceback(flag, head, tail, capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    # 0xff never occurs in UTF-8
+    bad.write_bytes(head + b"\xff" + tail)
+    code = main([arg.format(bad=bad) for arg in NON_UTF8_ARGV[flag]])
+    _out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from pwrkit import (
@@ -15,6 +17,7 @@ from pwrkit import (
     extract_subgraph,
     grand_total,
     largest_strong_component,
+    nonzero_entries,
     strongly_connected_components,
 )
 
@@ -151,3 +154,57 @@ def test_fixture_is_one_strong_component(journals):
     assert len(result.components) == 1
     assert largest_strong_component(journals) == journals
     assert grand_total(largest_strong_component(journals)) == grand_total(journals)
+
+
+def assert_matches_networkx(z):
+    """Components, labelling and largest subgraph agree with networkx."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(z.n))
+    graph.add_edges_from((j, i) for i, j, _w in nonzero_entries(z))
+    # disjoint sorted lists sort by their smallest member
+    expected = sorted(sorted(c) for c in nx.strongly_connected_components(graph))
+    result = strongly_connected_components(z)
+    assert [list(c.indices) for c in result.components] == expected
+    component_of = [0] * z.n
+    for comp_idx, comp in enumerate(expected):
+        for node in comp:
+            component_of[node] = comp_idx
+    assert result.component_of == tuple(component_of)
+    assert largest_strong_component(z) == extract_subgraph(z, max(expected, key=len))
+
+
+@st.composite
+def arc_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    node = st.integers(min_value=0, max_value=n - 1)
+    # arcs may repeat and may be self-loops
+    arcs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    dense = np.zeros((n, n))
+    for i, j in arcs:
+        dense[i, j] += 1.0
+    return CitationMatrix(tuple(f"J{i}" for i in range(n)), dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arc_matrices())
+def test_dense_components_match_networkx(z):
+    assert_matches_networkx(z)
+
+
+def test_sparse_components_ignore_stored_zeros():
+    # every arc is mirrored by a stored 0.0, which must not count as an arc
+    n = 1500
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, n, size=2 * n)
+    cols = rng.integers(0, n, size=2 * n)
+    mat = sparse.csr_array(
+        (
+            np.concatenate([np.ones(2 * n), np.zeros(2 * n)]),
+            (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+        ),
+        shape=(n, n),
+    )
+    z = CitationMatrix(tuple(f"J{i}" for i in range(n)), mat)
+    assert z.is_sparse and (z.entries.data == 0.0).any()
+    assert_matches_networkx(z)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 
 import numpy as np
@@ -123,6 +125,11 @@ class TestPajekWriter:
     def test_fractional_weights_survive(self):
         z = build("A B", [[0, 0.125], [0, 0]])
         assert read_pajek(write_pajek(z)).entry(0, 1) == 0.125
+
+    @pytest.mark.parametrize("label", ['A"B', '"', "A\nB", "A\r", "A\x85B", "A\u2028B"])
+    def test_label_that_cannot_read_back_is_refused(self, label):
+        with pytest.raises(ValueError, match="vertex 2: label"):
+            write_pajek(CitationMatrix(("ok", label), np.zeros((2, 2))))
 
 
 class TestCsvMatrix:
@@ -326,3 +333,21 @@ def test_csv_round_trip_identity(z):
 @given(integer_matrices())
 def test_cross_format_conversion_is_lossless(z):
     assert read_csv_matrix(write_csv_matrix(read_pajek(write_pajek(z)))) == z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+def test_pajek_writer_round_trips_or_refuses_csv_labels(labels):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([""] + labels)
+    writer.writerows([name] + ["1"] * len(labels) for name in labels)
+    try:
+        z = read_csv_matrix(buffer.getvalue())
+    except ParseError:
+        return
+    try:
+        text = write_pajek(z)
+    except ValueError:
+        return
+    assert read_pajek(text) == z
