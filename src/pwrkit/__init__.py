@@ -37,6 +37,7 @@ from .decomposition import (
     union_subset,
 )
 from .engine import (
+    ContractError,
     ConvergenceReport,
     PwrOptions,
     PwrTrace,
@@ -80,6 +81,7 @@ __version__ = "1.0.0"
 __all__ = [
     "DENSE_LIMIT",
     "CitationMatrix",
+    "ContractError",
     "ConvergenceReport",
     "IterationLimitError",
     "MetricVector",

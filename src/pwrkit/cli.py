@@ -5,13 +5,15 @@ Subcommands: ``pwr`` (iteration trace and convergence summary), ``scc``
 (similarity clustering), ``compare`` (metric tables and rank correlations),
 and ``convert`` (format conversion).
 
-Exit codes: 0 on success, 1 for input or parse problems, 2 when a documented
-contract is violated (zero weakness under the error policy, an empty subset,
-modularity on an edgeless graph, or hub scores of a matrix without
-citations).  Non-convergence of the iteration is a diagnostic, not an error,
-and still exits 0.  When results stream to
-standard output, auxiliary summaries go to standard error so the data stays
-machine-readable; with ``--output`` the summaries use standard output.
+Exit codes: 0 on success, 1 for input or parse problems, 2 when a result is
+undefined on well-formed input (a library :class:`ContractError` such as zero
+weakness under the error policy, an :class:`IterationLimitError`, an empty
+subset, or an edgeless similarity graph).  Non-convergence of the iteration
+is a diagnostic, not an error, and still exits 0.  Only :func:`main` maps
+exceptions to exit codes; any other ``ValueError`` or ``KeyError`` exits 1.
+When results stream to standard output, auxiliary summaries go to standard
+error so the data stays machine-readable; with ``--output`` the summaries
+use standard output.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from .decomposition import (
     union_subset,
 )
 from .engine import (
+    ContractError,
     ConvergenceReport,
     PwrOptions,
     ZeroDivision,
-    ZeroWeaknessError,
     converged_pwr,
     convergence_report,
     pwr_trace,
@@ -120,10 +122,7 @@ def _load_matrix(path_str: str, fmt: str | None) -> CitationMatrix:
 
 
 def _matrix_text(z: CitationMatrix, kind: str) -> str:
-    try:
-        return write_pajek(z) if kind == "pajek" else write_csv_matrix(z)
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    return write_pajek(z) if kind == "pajek" else write_csv_matrix(z)
 
 
 def _write_file(path_str: str, text: str) -> None:
@@ -147,16 +146,13 @@ def _emit(text: str, output: str | None, summary: str | None = None) -> None:
 
 
 def _options_from(args: argparse.Namespace) -> PwrOptions:
-    try:
-        return PwrOptions(
-            k_max=args.k_max,
-            tol=args.tol,
-            self_citations=args.self_citations,
-            zero_division=_ZERO_DIV_FLAGS[args.zero_div],
-            normalize_each_iteration=not args.no_normalize,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    return PwrOptions(
+        k_max=args.k_max,
+        tol=args.tol,
+        self_citations=args.self_citations,
+        zero_division=_ZERO_DIV_FLAGS[args.zero_div],
+        normalize_each_iteration=not args.no_normalize,
+    )
 
 
 def _summary_line(report: ConvergenceReport) -> str:
@@ -172,18 +168,10 @@ def _summary_line(report: ConvergenceReport) -> str:
 def cmd_pwr(args: argparse.Namespace) -> int:
     z = _load_matrix(args.input, args.format)
     opts = _options_from(args)
-    try:
-        trace = pwr_trace(z, opts)
-    except ZeroWeaknessError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    trace = pwr_trace(z, opts)
     report = convergence_report(trace, opts.tol)
     if args.plot:
-        try:
-            _write_file(args.plot, render_convergence_svg(trace))
-        except ValueError as exc:
-            raise CliError(EXIT_CONTRACT, str(exc)) from exc
+        _write_file(args.plot, render_convergence_svg(trace))
     _emit(write_trace_csv(trace), args.output, _summary_line(report))
     return EXIT_OK
 
@@ -217,10 +205,7 @@ def _read_label_file(path_str: str, z: CitationMatrix) -> NodeSet:
 
 def cmd_subset(args: argparse.Namespace) -> int:
     z = _load_matrix(args.input, args.format)
-    try:
-        subset = citing_threshold_subset(z, args.target, args.min)
-    except KeyError as exc:
-        raise CliError(EXIT_INPUT, _message(exc)) from exc
+    subset = citing_threshold_subset(z, args.target, args.min)
     if args.union_with:
         subset = union_subset(subset, _read_label_file(args.union_with, z))
     if len(subset) == 0:
@@ -239,21 +224,15 @@ def cmd_subset(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     z = _load_matrix(args.input, args.format)
-    try:
-        sims = citing_cosine_matrix(z, args.cosine_diagonal)
-        graph = threshold_graph(sims, args.cosine_threshold)
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    sims = citing_cosine_matrix(z, args.cosine_diagonal)
+    graph = threshold_graph(sims, args.cosine_threshold)
     if not graph.edges:
         raise CliError(
             EXIT_CONTRACT,
             f"no similarity exceeds {args.cosine_threshold}; "
             "modularity is undefined on an edgeless graph",
         )
-    try:
-        partition = louvain_partition(graph, resolution=args.resolution)
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    partition = louvain_partition(graph, resolution=args.resolution)
     lines = ["label,community"]
     for name, comm in zip(partition.labels, partition.community_of):
         lines.append(f"{name},{comm}")
@@ -275,11 +254,7 @@ def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricV
         elif key == "pagerank":
             columns.append(pagerank(z, damping=args.damping))
         elif key == "hits":
-            try:
-                hubs, authorities = hits(z)
-            except ValueError as exc:
-                raise CliError(EXIT_CONTRACT, str(exc)) from exc
-            columns.extend([hubs, authorities])
+            columns.extend(hits(z))
         else:
             raise CliError(EXIT_INPUT, f"unknown metric {name!r}; pick from pwr, cf, pagerank, hits")
     return columns
@@ -287,12 +262,7 @@ def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricV
 
 def cmd_compare(args: argparse.Namespace) -> int:
     z = _load_matrix(args.input, args.format)
-    try:
-        columns = _metric_columns(z, args)
-    except (ZeroWeaknessError, IterationLimitError) as exc:
-        raise CliError(EXIT_CONTRACT, str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    columns = _metric_columns(z, args)
     for pair in args.external or []:
         name, _, path_str = pair.partition("=")
         if not name or not path_str:
@@ -302,7 +272,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         try:
             metric = read_metric_csv(text, name=name)
             columns.append(align_to(columns[0], metric) if columns else metric)
-        except (ParseError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(EXIT_INPUT, f"{path}: {exc}") from exc
     if not columns:
         raise CliError(EXIT_INPUT, "nothing to compare; request at least one metric")
@@ -313,10 +283,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         lines.append(f"{name}," + ",".join(cells))
     lines.append("")
     lines.append("metric_x,metric_y,pearson,spearman")
-    try:
-        table = compare_rankings(columns)
-    except ValueError as exc:
-        raise CliError(EXIT_CONTRACT, str(exc)) from exc
+    table = compare_rankings(columns)
     for i in range(len(columns)):
         for j in range(i + 1, len(columns)):
             cmp = table[i][j]
@@ -347,7 +314,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _format_total(value: float) -> str:
-    return str(int(value)) if value == int(value) else repr(value)
+    # is_integer() is False for inf, which prints as its repr
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def build_parser() -> _Parser:
@@ -433,8 +401,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
+    except (ContractError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    # ParseError and UnicodeDecodeError are ValueErrors too
+    except (ValueError, KeyError) as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_INPUT
 
 

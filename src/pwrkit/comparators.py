@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 from scipy.stats import rankdata
 
-from .engine import PwrOptions, ZeroDivision, pwr_trace
+from .engine import ContractError, PwrOptions, ZeroDivision, pwr_trace
 from .matrix import CitationMatrix, column_sums, grand_total
 
 _DEFAULT_MAX_ITER = 1000
@@ -133,9 +133,9 @@ def hits(
     (columns).  Returns (hubs, authorities).
     """
     if z.n < 1:
-        raise ValueError("matrix must have at least one node")
+        raise ContractError("matrix must have at least one node")
     if grand_total(z) == 0.0:
-        raise ValueError("matrix has no citations; hub and authority scores are undefined")
+        raise ContractError("matrix has no citations; hub and authority scores are undefined")
     n = z.n
     mat = z.entries
     mat_t = mat.T
@@ -145,12 +145,12 @@ def hits(
         new_authorities = np.asarray(mat @ hubs).ravel()
         total = float(new_authorities.sum())
         if total == 0.0:
-            raise ValueError("authority scores collapsed to zero")
+            raise ContractError("authority scores collapsed to zero")
         new_authorities /= total
         new_hubs = np.asarray(mat_t @ new_authorities).ravel()
         total = float(new_hubs.sum())
         if total == 0.0:
-            raise ValueError("hub scores collapsed to zero")
+            raise ContractError("hub scores collapsed to zero")
         new_hubs /= total
         drift = float(np.abs(new_authorities - authorities).sum())
         drift += float(np.abs(new_hubs - hubs).sum())
@@ -177,19 +177,19 @@ def _aligned_values(x: MetricVector, y: MetricVector) -> tuple[np.ndarray, np.nd
             )
         raise ValueError(f"metrics {x.name!r} and {y.name!r} order their labels differently")
     if x.n < 2:
-        raise ValueError("correlation needs at least two nodes")
+        raise ContractError("correlation needs at least two nodes")
     return x.values, y.values
 
 
 def _pearson_of(a: np.ndarray, b: np.ndarray) -> float:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("correlation inputs must be finite")
+        raise ContractError("correlation inputs must be finite")
     ac = a - a.mean()
     bc = b - b.mean()
     sa = float(np.sqrt((ac * ac).sum()))
     sb = float(np.sqrt((bc * bc).sum()))
     if sa == 0.0 or sb == 0.0:
-        raise ValueError("correlation is undefined for a zero-variance input")
+        raise ContractError("correlation is undefined for a zero-variance input")
     r = float((ac * bc).sum() / (sa * sb))
     return max(-1.0, min(1.0, r))
 
@@ -227,7 +227,7 @@ def align_to(reference: MetricVector, other: MetricVector) -> MetricVector:
 def compare_rankings(metrics: Sequence[MetricVector]) -> list[list[RankingComparison]]:
     """All pairwise Pearson/Spearman comparisons, aligned to the first metric."""
     if not metrics:
-        raise ValueError("need at least one metric to compare")
+        raise ContractError("need at least one metric to compare")
     aligned = [metrics[0]] + [align_to(metrics[0], m) for m in metrics[1:]]
     table: list[list[RankingComparison]] = []
     for x in aligned:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
+from .engine import ContractError
 from .matrix import CitationMatrix, NodeSet, extract_subgraph
 
 
@@ -54,6 +55,8 @@ def largest_strong_component(z: CitationMatrix) -> CitationMatrix:
     Size ties go to the component containing the smallest node index, which
     is the first one in the deterministic component order.
     """
+    if z.n == 0:
+        raise ContractError("matrix has no nodes; there is no largest component")
     ids = _component_ids(z)
     # argmax keeps the first maximum, the lowest id, so ties resolve as documented.
     best = np.argmax(np.bincount(ids))

@@ -568,6 +568,8 @@ def citing_threshold_subset(
     """Journals citing the target at least min_count times, target included
     when its self-citations qualify."""
     row_idx = z.index_of(target)
+    if math.isnan(min_count):
+        raise ValueError("min_count must be a number, got nan")
     if z.is_sparse:
         row = z.entries[[row_idx]].toarray().ravel()
     else:

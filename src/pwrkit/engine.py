@@ -40,7 +40,11 @@ class ZeroDivision(str, Enum):
     ERROR = "error"
 
 
-class ZeroWeaknessError(ValueError):
+class ContractError(ValueError):
+    """A result is undefined on well-formed input (the CLI exits 2 on it)."""
+
+
+class ZeroWeaknessError(ContractError):
     """Raised under the error policy when a weakness entry hits zero."""
 
     def __init__(self, label: str, k: int) -> None:

@@ -221,7 +221,14 @@ def read_csv_matrix(text: str) -> CitationMatrix:
 
 
 def write_csv_matrix(z: CitationMatrix) -> str:
-    """Inverse of :func:`read_csv_matrix`; integer weights stay integers."""
+    """Inverse of :func:`read_csv_matrix`; integer weights stay integers.
+
+    csv quotes only a label holding a comma, a quote or a newline; one with a
+    bare carriage return would end its row, so it raises ``ValueError``.
+    """
+    for name in z.labels:
+        if "\r" in name and not any(c in name for c in ',"\n'):
+            raise ValueError(f"label {name!r} holds a carriage return csv would leave unquoted")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([""] + list(z.labels))

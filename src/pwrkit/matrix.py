@@ -184,7 +184,9 @@ def column_sums(z: CitationMatrix) -> np.ndarray:
 
 
 def grand_total(z: CitationMatrix) -> float:
-    return float(z.entries.sum())
+    # a sum past double range is inf, reported as such rather than warned about
+    with np.errstate(over="ignore"):
+        return float(z.entries.sum())
 
 
 def matvec(z: CitationMatrix, v: Sequence[float] | np.ndarray) -> np.ndarray:

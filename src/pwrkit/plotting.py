@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .engine import TraceTable
+from .engine import ContractError, TraceTable
 
 _PALETTE = (
     "#1f77b4",
@@ -52,15 +52,16 @@ def _tick_step(span: float) -> float:
 def render_convergence_svg(trace: TraceTable, width: int = 820, height: int = 420) -> str:
     """One polyline per node of r(k) against k, with a colour legend.
 
-    Non-finite sentinel ratios are dropped from their polyline; a trace with
-    no finite ratio at all cannot be drawn and raises.
+    Non-finite sentinel ratios are dropped from their polyline.  A trace with
+    no finite ratio at all, or one whose ratios span past double range, cannot
+    be drawn and raises :class:`ContractError`.
     """
     if trace.k_max < 2:
-        raise ValueError("plot needs a trace with k_max >= 2")
+        raise ContractError("plot needs a trace with k_max >= 2")
     ratio_rows = trace.ratios
     finite = np.isfinite(ratio_rows)
     if not finite.any():
-        raise ValueError("trace has no finite ratios to plot")
+        raise ContractError("trace has no finite ratios to plot")
 
     y_min = float(ratio_rows[finite].min())
     y_max = float(ratio_rows[finite].max())
@@ -70,6 +71,8 @@ def render_convergence_svg(trace: TraceTable, width: int = 820, height: int = 42
     pad = 0.05 * (y_max - y_min)
     y_min -= pad
     y_max += pad
+    if not math.isfinite(y_max - y_min):
+        raise ContractError("ratios reach the end of double range; the chart cannot scale them")
 
     plot_left = _MARGIN_LEFT
     plot_right = width - _MARGIN_RIGHT - _LEGEND_WIDTH

@@ -10,9 +10,10 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pwrkit import (
@@ -159,6 +160,19 @@ class TestPwrCommand:
         assert out.endswith("B,600,inf,inf,nan\n")
         assert err.endswith("converged=no k_converged=- final_delta=nan\nflagged=A,B\n")
 
+    def test_plot_of_ratios_at_end_of_double_range_exits_2(self, capsys, tmp_path):
+        # B's weakness is subnormal, so its k=1 ratio is about 1.7e308
+        data = _csv_file(tmp_path, ",A,B\nA,1,0\nB,1,5.8e-309\n")
+        chart = tmp_path / "chart.svg"
+        code = main(["pwr", "--input", data, "--k-max", "2", "--plot", str(chart)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            "error: ratios reach the end of double range; the chart cannot scale them\n"
+        )
+        assert not chart.exists()
+
     def test_nan_tol_exits_1(self, capsys):
         code = main(["pwr", "--input", FIXTURE, "--tol", "nan"])
         _out, err = capsys.readouterr()
@@ -253,6 +267,17 @@ class TestSccCommand:
         assert code == 1
         assert "--output" in err
 
+    def test_largest_of_network_without_vertices_exits_2(self, capsys, tmp_path):
+        net = tmp_path / "empty.net"
+        net.write_text("*Vertices 0\n*Arcs\n", encoding="utf-8")
+        target = tmp_path / "core.net"
+        code = main(["scc", "--input", str(net), "--largest", "--output", str(target)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: matrix has no nodes; there is no largest component\n"
+        assert not target.exists()
+
 
 class TestSubsetCommand:
     def test_threshold_subgraph_to_stdout(self, capsys, tmp_path):
@@ -282,6 +307,20 @@ class TestSubsetCommand:
         _out, err = capsys.readouterr()
         assert code == 2
         assert "subset is empty" in err
+
+    @pytest.mark.parametrize(
+        ("value", "code", "message"),
+        [
+            ("nan", 1, "error: min_count must be a number, got nan\n"),
+            ("inf", 2, "error: no journal cites 'JASIST' at least inf times; subset is empty\n"),
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_min(self, value, code, message, capsys):
+        assert main(["subset", "--input", FIXTURE, "--target", "JASIST", "--min", value]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message
 
     def test_unknown_target_exits_1(self, capsys):
         code = main(["subset", "--input", FIXTURE, "--target", "NOPE"])
@@ -443,6 +482,19 @@ class TestConvertCommand:
         capsys.readouterr()
         assert read_csv_matrix(target.read_text(encoding="utf-8")) == jasist_plus_matrix()
 
+    def test_grand_total_past_double_range_prints_inf(self, capsys, tmp_path):
+        src = _csv_file(tmp_path, ",A,B\nA,1e308,1e308\nB,1e308,1e308\n")
+        target = tmp_path / "big.net"
+        # an overflow warning from the sum would be a second line on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["convert", "--input", src, "--output", str(target)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out == ""
+        assert err == f"wrote {target} (2 node(s), grand total inf)\n"
+        assert read_pajek(target.read_text(encoding="utf-8")).entry(1, 0) == 1e308
+
 
 class TestTopLevel:
     def test_no_arguments_exits_1(self, capsys):
@@ -524,3 +576,91 @@ def test_non_utf8_file_exits_1_without_traceback(flag, head, tail, capsys, tmp_p
     assert code == 1
     assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# The fuzz property below splices these byte runs into a small matrix of each
+# format: numbers at and past the ends of double range, separators, quotes,
+# line breaks, a byte that is never UTF-8, and section headers.
+FUZZ_SEEDS = {
+    ".csv": b",A,B,C\nA,2,7,0\nB,0,0,0\nC,1,1,1\n",
+    ".net": b'*Vertices 3\n1 "A"\n2 "B"\n3 "C"\n*Arcs\n1 2 4\n2 1 2\n3 3 1\n',
+}
+FUZZ_TOKENS = (
+    b"", b"0", b"-1", b"nan", b"inf", b"1e308", b"5.8e-309", b",", b'"', b"\n", b"\r",
+    b"\xff", b"*Vertices 0\n", b"*Arcs\n", b"*Edges\n", b"A",
+)
+# Every flag of every subcommand, with the values it is drawn from (None for
+# a switch); {src} is the fuzzed input and {dir} a directory for outputs.
+FUZZ_FLAGS = {
+    "pwr": {
+        "--format": ["csv", "pajek"], "--k-max": ["0", "1", "2", "600"],
+        "--tol": ["1e-6", "nan", "0"], "--self-citations": ["include", "exclude"],
+        "--zero-div": ["zero", "inf", "error"], "--no-normalize": None,
+        "--output": ["{dir}/trace.csv"], "--plot": ["{dir}/chart.svg"],
+    },
+    "scc": {
+        "--format": ["csv", "pajek"], "--largest": None,
+        "--output": ["{dir}/core.net", "{dir}/core.csv"], "--output-format": ["csv", "pajek"],
+    },
+    "subset": {
+        "--format": ["csv", "pajek"], "--target": ["A", "C", "NOPE"],
+        "--min": ["0", "2", "nan", "inf"], "--union-with": ["{src}"],
+        "--output": ["{dir}/sub.net", "{dir}/sub.csv"], "--output-format": ["csv", "pajek"],
+    },
+    "decompose": {
+        "--format": ["csv", "pajek"], "--cosine-threshold": ["0.01", "1", "nan", "-1"],
+        "--resolution": ["1", "0", "nan", "-1"], "--cosine-diagonal": ["include", "exclude"],
+        "--output": ["{dir}/partition.csv"],
+    },
+    "compare": {
+        "--format": ["csv", "pajek"], "--k-max": ["1", "3"], "--tol": ["1e-6", "nan"],
+        "--self-citations": ["include", "exclude"], "--zero-div": ["zero", "inf", "error"],
+        "--no-normalize": None, "--metrics": ["pwr", "cf", "pagerank", "hits", "cf,hits", "x"],
+        "--external": ["x={src}", "x"], "--damping": ["0.85", "2", "nan"],
+        "--output": ["{dir}/table.csv"],
+    },
+    "convert": {
+        "--output": ["{dir}/out.net", "{dir}/out.csv"], "--input-format": ["csv", "pajek"],
+        "--output-format": ["csv", "pajek"], "--force": None,
+    },
+}
+
+
+@st.composite
+def cli_cases(draw):
+    suffix = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    data = FUZZ_SEEDS[suffix]
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(start + 8, len(data))))
+        splice = draw(st.sampled_from(FUZZ_TOKENS) | st.binary(max_size=4))
+        data = data[:start] + splice + data[end:]
+    subcommand = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[subcommand]
+    argv = [subcommand, "--input", "{src}"]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(st.sampled_from(flags[flag])))
+    return suffix, data, argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_cases())
+# pinned: a network without vertices, and a grand total past double range
+@example(
+    case=(".net", b"*Vertices 0\n*Arcs\n", ["scc", "--input", "{src}", "--largest", "--output", "{dir}/c.net"])
+)
+@example(
+    case=(".csv", b",A,B\nA,1e308,1e308\nB,1e308,1e308\n", ["convert", "--input", "{src}", "--output", "{dir}/m.net"])
+)
+def test_any_input_and_flags_end_in_an_exit_code(case, capsys, tmp_path):
+    suffix, data, argv = case
+    src = tmp_path / f"in{suffix}"
+    src.write_bytes(data)
+    code = main([arg.format(src=src, dir=tmp_path) for arg in argv])
+    _out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == (1 if code else 0)

@@ -17,6 +17,7 @@ from scipy import stats
 
 from pwrkit import (
     CitationMatrix,
+    ContractError,
     IterationLimitError,
     MetricVector,
     PwrOptions,
@@ -278,3 +279,24 @@ def test_spearman_matches_scipy(seed):
     ours = spearman(metric("a", labels, a), metric("b", labels, b))
     reference = stats.spearmanr(a, b).statistic
     assert ours == pytest.approx(reference, abs=1e-12)
+
+
+def test_undefined_results_raise_contract_error():
+    a, b = metric("a", "A B", [1.0, 2.0]), metric("b", "A B", [3.0, 3.0])
+    cases = [
+        (lambda: hits(CitationMatrix((), np.zeros((0, 0)))), "at least one node"),
+        (lambda: hits(build("A B", [[0, 0], [0, 0]])), "no citations"),
+        (lambda: pearson(metric("a", "A", [1.0]), metric("b", "A", [2.0])), "two nodes"),
+        (lambda: spearman(a, b), "zero-variance"),
+        (lambda: pearson(a, metric("c", "A B", [1.0, np.inf])), "must be finite"),
+        (lambda: compare_rankings([]), "at least one metric"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ContractError, match=message):
+            call()
+    # bad input is a plain ValueError, not a contract violation
+    for call in (lambda: pagerank(build("A B", [[0, 1], [1, 0]]), damping=2.0),
+                 lambda: pearson(a, metric("c", "A C", [1.0, 2.0]))):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert not isinstance(excinfo.value, ContractError)

@@ -14,6 +14,7 @@ from scipy import sparse
 
 from pwrkit import (
     CitationMatrix,
+    ContractError,
     extract_subgraph,
     grand_total,
     largest_strong_component,
@@ -110,6 +111,13 @@ def test_largest_tie_goes_to_smallest_first_node():
         ],
     )
     assert largest_strong_component(z).labels == ("A", "B")
+
+
+def test_network_without_vertices_has_no_largest_component():
+    z = CitationMatrix((), np.zeros((0, 0)))
+    assert strongly_connected_components(z).components == ()
+    with pytest.raises(ContractError, match="^matrix has no nodes; there is no largest component"):
+        largest_strong_component(z)
 
 
 def test_long_path_needs_no_recursion():

@@ -343,6 +343,13 @@ class TestCitingThresholdSubset:
         z = build("A B", [[0, 1], [0, 0]])
         assert len(citing_threshold_subset(z, "A", 99.0)) == 0
 
+    def test_nan_threshold_rejected_and_infinite_one_is_empty(self):
+        z = build("A B", [[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="min_count must be a number, got nan"):
+            citing_threshold_subset(z, "A", float("nan"))
+        assert len(citing_threshold_subset(z, "A", float("inf"))) == 0
+        assert citing_threshold_subset(z, "A", -float("inf")).labels == ("A", "B")
+
     def test_extracts_consistent_subgraph(self, journals):
         picked = citing_threshold_subset(journals, "JASIST", 150.0)
         sub = extract_subgraph(journals, picked)

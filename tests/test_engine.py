@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pwrkit import (
     CitationMatrix,
+    ContractError,
     ConvergenceReport,
     PwrOptions,
     SelfCitations,
@@ -215,6 +216,13 @@ class TestZeroDivisionPolicies:
         assert inf.ratio_at(1).tolist() == [math.inf, math.inf]
         with pytest.raises(ZeroWeaknessError):
             pwr_trace(z, PwrOptions(k_max=1, zero_division="error"))
+
+    def test_zero_weakness_is_a_contract_error_and_no_nodes_is_bad_input(self):
+        assert issubclass(ZeroWeaknessError, ContractError)
+        assert issubclass(ContractError, ValueError)
+        with pytest.raises(ValueError, match="at least one node") as excinfo:
+            pwr_trace(CitationMatrix((), np.zeros((0, 0))))
+        assert not isinstance(excinfo.value, ContractError)
 
 
 class TestConvergenceReport:

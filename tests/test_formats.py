@@ -141,6 +141,15 @@ class TestCsvMatrix:
         z = CitationMatrix(("J, A", "B"), np.array([[0.0, 1.0], [2.0, 0.0]]))
         assert read_csv_matrix(write_csv_matrix(z)) == z
 
+    def test_label_with_unquoted_carriage_return_is_refused(self):
+        with pytest.raises(ValueError, match=r"label '\\r' holds a carriage return"):
+            write_csv_matrix(CitationMatrix(("\r", "B"), np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("label", ["A\r\nB", "A\rB,", 'A\r"'])
+    def test_quoted_carriage_return_survives(self, label):
+        z = CitationMatrix((label, "B"), np.zeros((2, 2)))
+        assert read_csv_matrix(write_csv_matrix(z)) == z
+
     def test_header_must_start_empty(self):
         with pytest.raises(ParseError, match="empty cell"):
             read_csv_matrix("x,A\nA,1\n")
@@ -351,3 +360,19 @@ def test_pajek_writer_round_trips_or_refuses_csv_labels(labels):
     except ValueError:
         return
     assert read_pajek(text) == z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+def test_csv_writer_round_trips_or_refuses_labels(labels):
+    try:
+        z = CitationMatrix(tuple(labels), np.ones((len(labels), len(labels))))
+    except ValueError:
+        return
+    try:
+        text = write_csv_matrix(z)
+    except ValueError:
+        # only a carriage return the writer cannot quote is refused
+        assert any("\r" in name for name in labels)
+        return
+    assert read_csv_matrix(text) == z

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pwrkit import PwrOptions, pwr_trace, render_convergence_svg
+from pwrkit import ContractError, PwrOptions, pwr_trace, render_convergence_svg
 
 from .conftest import build
 
@@ -68,6 +68,18 @@ def test_rejects_all_sentinel_trace():
     trace = pwr_trace(z, PwrOptions(k_max=3, zero_division="infinite"))
     with pytest.raises(ValueError, match="no finite ratios"):
         render_convergence_svg(trace)
+
+
+def test_undrawable_traces_raise_contract_error():
+    single = pwr_trace(build("A B", [[0, 2], [1, 0]]), PwrOptions(k_max=1))
+    with pytest.raises(ContractError, match="k_max >= 2"):
+        render_convergence_svg(single)
+    # B's weakness is subnormal, so its k=1 ratio sits near the top of double
+    # range and the padded y axis would not be finite
+    extreme = pwr_trace(build("A B", [[1, 0], [1, 5.8e-309]]), PwrOptions(k_max=2))
+    assert 1.7e308 < extreme.ratio_at(1)[1] < 1.8e308
+    with pytest.raises(ContractError, match="end of double range"):
+        render_convergence_svg(extreme)
 
 
 def test_sentinel_series_is_omitted():
