@@ -8,6 +8,7 @@ be wrapped in a :class:`MetricVector` and compared on equal footing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -142,16 +143,8 @@ def hits(
     authorities = np.full(n, 1.0 / n)
     hubs = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        new_authorities = np.asarray(mat @ hubs).ravel()
-        total = float(new_authorities.sum())
-        if total == 0.0:
-            raise ContractError("authority scores collapsed to zero")
-        new_authorities /= total
-        new_hubs = np.asarray(mat_t @ new_authorities).ravel()
-        total = float(new_hubs.sum())
-        if total == 0.0:
-            raise ContractError("hub scores collapsed to zero")
-        new_hubs /= total
+        new_authorities = _unit_sum(np.asarray(mat @ hubs).ravel(), "authority")
+        new_hubs = _unit_sum(np.asarray(mat_t @ new_authorities).ravel(), "hub")
         drift = float(np.abs(new_authorities - authorities).sum())
         drift += float(np.abs(new_hubs - hubs).sum())
         authorities = new_authorities
@@ -164,6 +157,18 @@ def hits(
     raise IterationLimitError(
         f"hits did not converge within {max_iter} iterations", last=(hubs, authorities)
     )
+
+
+def _unit_sum(scores: np.ndarray, name: str) -> np.ndarray:
+    """Scale HITS scores to sum to one; refuse a zero or overflowing total."""
+    with np.errstate(over="ignore"):
+        total = float(scores.sum())
+    if total == 0.0:
+        raise ContractError(f"{name} scores collapsed to zero")
+    if not math.isfinite(total):
+        raise ContractError(f"{name} scores overflow double range")
+    scores /= total
+    return scores
 
 
 def _aligned_values(x: MetricVector, y: MetricVector) -> tuple[np.ndarray, np.ndarray]:

@@ -33,11 +33,6 @@ from .matrix import CitationMatrix, NodeSet, zero_diagonal
 # deterministic tie-breaks.
 _GAIN_EPS = 1e-12
 
-# Node visits with at most this many neighbours run in plain Python; wider
-# ones are vectorised.  Both routes do the same float operations in the same
-# order, so the choice changes speed only.
-_SMALL_DEGREE = 48
-
 # At most this many array elements are held as Python objects at a time.
 _CHUNK = 1 << 16
 
@@ -246,20 +241,23 @@ def citing_cosine_matrix(
     policy = SelfCitations(diagonal_policy)
     mat = zero_diagonal(z) if policy is SelfCitations.EXCLUDE else z
     entries = mat.entries
-    if mat.is_sparse:
-        gram = (entries.T @ entries).tocsr()
-        gram.sort_indices()
-        norms = np.sqrt(gram.diagonal())
-        rows = np.repeat(np.arange(mat.n), np.diff(gram.indptr))
-        keep = (gram.indices > rows) & (gram.data > 0.0)
-        rows, cols, dots = rows[keep], gram.indices[keep], gram.data[keep]
-    else:
-        gram = entries.T @ entries
-        norms = np.sqrt((entries * entries).sum(axis=0))
-        rows, cols = np.nonzero(np.triu(gram, k=1))
-        dots = gram[rows, cols]
-    denom = norms[rows] * norms[cols]
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+    # products past double range leave non-finite similarities, which
+    # SimilarityMatrix refuses, so numpy need not warn about them as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mat.is_sparse:
+            gram = (entries.T @ entries).tocsr()
+            gram.sort_indices()
+            norms = np.sqrt(gram.diagonal())
+            rows = np.repeat(np.arange(mat.n), np.diff(gram.indptr))
+            keep = (gram.indices > rows) & (gram.data > 0.0)
+            rows, cols, dots = rows[keep], gram.indices[keep], gram.data[keep]
+        else:
+            gram = entries.T @ entries
+            norms = np.sqrt((entries * entries).sum(axis=0))
+            rows, cols = np.nonzero(np.triu(gram, k=1))
+            dots = gram[rows, cols]
+        denom = norms[rows] * norms[cols]
+        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
     np.clip(sims, 0.0, 1.0, out=sims)
     diag = np.where(norms > 0.0, 1.0, 0.0)
     return SimilarityMatrix._from_pairs(z.labels, EdgeList(rows, cols, sims), diag)
@@ -390,12 +388,11 @@ def _local_moving(
 
     A visit costs O(degree): the weight towards each neighbouring community
     is summed in neighbour order and candidates are compared as if scanned
-    in ascending community id.  Wide visits are vectorised and read array
-    mirrors of the community and sigma lists.
+    in ascending community id.
     """
     level_n = len(degree)
-    community = list(range(level_n))
-    sigma = list(degree)
+    community = np.arange(level_n)
+    sigma = np.array(degree)
     ptr = indptr.tolist()
     scale = 2.0 * m * m
     # A visit reads its whole row; the node's own entry, weighted 0.0 here,
@@ -403,18 +400,9 @@ def _local_moving(
     weights = data.copy()
     weights[indptr[:-1]] = 0.0
     widest = int((indptr[1:] - indptr[:-1]).max(initial=0))
-    mirrored = widest > _SMALL_DEGREE
-    # Narrow visits iterate Python lists: the whole level's when it is
-    # small, otherwise one row's at a time.
-    as_lists = len(indices) <= _CHUNK
-    if as_lists:
-        nbr_list, w_list = indices.tolist(), weights.tolist()
-    if mirrored:
-        community_arr = np.arange(level_n)
-        sigma_arr = np.array(sigma)
-        slot = np.zeros(level_n, dtype=np.intp)
-        positions = np.arange(widest)
-        compact = np.zeros(widest, dtype=np.intp)
+    slot = np.zeros(level_n, dtype=np.intp)
+    positions = np.arange(widest)
+    compact = np.zeros(widest, dtype=np.intp)
     moved_any = False
     moved = True
     # Real inputs settle in a handful of sweeps; the budget only guards
@@ -428,48 +416,30 @@ def _local_moving(
             kv = degree[v]
             a, b = ptr[v], ptr[v + 1]
             sigma[current] -= kv
-            if b - a <= _SMALL_DEGREE:
-                weight_to: dict[int, float] = {}
-                if as_lists:
-                    row = zip(nbr_list[a:b], w_list[a:b])
-                else:
-                    row = zip(indices[a:b].tolist(), weights[a:b].tolist())
-                for u, w in row:
-                    c = community[u]
-                    weight_to[c] = weight_to.get(c, 0.0) + w
-                cands = sorted(weight_to)
-                gains = [weight_to[c] / m - resolution * sigma[c] * kv / scale for c in cands]
-                best = _first_best(cands, gains)
+            # Number the neighbouring communities without sorting: slot
+            # ends up holding one neighbour position per community.
+            pos = positions[: b - a]
+            comms = community[indices[a:b]]
+            slot[comms] = pos
+            rep = slot[comms]
+            is_rep = rep == pos
+            found = comms[is_rep]
+            compact[rep[is_rep]] = positions[: len(found)]
+            sums = np.bincount(compact[rep], weights=weights[a:b])
+            gain = sums / m - resolution * sigma[found] * kv / scale
+            top = int(gain.argmax())
+            # A leader ahead of every rival by more than eps wins the
+            # ascending scan whatever the candidate order; else scan.
+            if np.count_nonzero(gain + _GAIN_EPS >= gain[top]) == 1:
+                best = found[top]
             else:
-                sigma_arr[current] = sigma[current]
-                # Number the neighbouring communities without sorting: slot
-                # ends up holding one neighbour position per community.
-                pos = positions[: b - a]
-                comms = community_arr[indices[a:b]]
-                slot[comms] = pos
-                rep = slot[comms]
-                is_rep = rep == pos
-                found = comms[is_rep]
-                compact[rep[is_rep]] = positions[: len(found)]
-                sums = np.bincount(compact[rep], weights=weights[a:b])
-                gain = sums / m - resolution * sigma_arr[found] * kv / scale
-                top = int(gain.argmax())
-                # A leader ahead of every rival by more than eps wins the
-                # ascending scan whatever the candidate order; else scan.
-                if np.count_nonzero(gain + _GAIN_EPS >= gain[top]) == 1:
-                    best = int(found[top])
-                else:
-                    asc = np.argsort(found)
-                    best = _first_best(found[asc].tolist(), gain[asc].tolist())
+                asc = np.argsort(found)
+                best = _first_best(found[asc].tolist(), gain[asc].tolist())
             community[v] = best
             sigma[best] += kv
-            if mirrored:
-                community_arr[v] = best
-                sigma_arr[current] = sigma[current]
-                sigma_arr[best] = sigma[best]
             if best != current:
                 moved = moved_any = True
-    return community, moved_any
+    return community.tolist(), moved_any
 
 
 def _aggregate(

@@ -174,13 +174,15 @@ def zero_diagonal(z: CitationMatrix) -> CitationMatrix:
 
 
 def row_sums(z: CitationMatrix) -> np.ndarray:
-    """Total times each journal is cited within the set."""
-    return np.asarray(z.entries.sum(axis=1), dtype=np.float64).ravel()
+    """Total times each journal is cited within the set (inf past double range)."""
+    with np.errstate(over="ignore"):
+        return np.asarray(z.entries.sum(axis=1), dtype=np.float64).ravel()
 
 
 def column_sums(z: CitationMatrix) -> np.ndarray:
-    """Total references each journal gives within the set."""
-    return np.asarray(z.entries.sum(axis=0), dtype=np.float64).ravel()
+    """Total references each journal gives within the set (inf past double range)."""
+    with np.errstate(over="ignore"):
+        return np.asarray(z.entries.sum(axis=0), dtype=np.float64).ravel()
 
 
 def grand_total(z: CitationMatrix) -> float:

@@ -47,6 +47,32 @@ FROZEN_PWR_DIGESTS = {
     ),
 }
 
+# sha256 of `decompose` standard output and standard error on the bundled
+# set, keyed by (--cosine-diagonal, --cosine-threshold, --resolution) and
+# frozen from the release whose Louvain visited narrow rows in plain Python;
+# they pin the exact partition and the repr of Q.
+FROZEN_DECOMPOSE_DIGESTS = {
+    ("include", "0.01", "1"): (
+        "9dba988607d2620a3dd0f5ce87fcbf6f99b26f4089db306eb5eca826e311e2cf",
+        "a55ab46871bb653031849994e1718d8025876a98aa644691258314ee474cee57",
+    ),
+    ("include", "0.2", "1.5"): (
+        "4f7a0dd43aa209252e017d8e0c06866aaee4882fdf539f43aa2112abc43b7e9f",
+        "69d718f5f94ec8a99c0d9f50654fd44950c33a64ebaf7997854cc484a5f1d8f4",
+    ),
+    ("exclude", "0.01", "1"): (
+        "8202e15d723d74c08753112783354860e30d61a466c61fc925adf3b5ed1fc9f6",
+        "d0306fc45555c9d5f91eaf1b0f1f5b5f58293ad64b5e5d7789432d5b8cd41747",
+    ),
+    ("exclude", "0.2", "1.5"): (
+        "7b896fb079e365234d58ec2dbf76037309339c5a64db236bd5acb2f2bc651991",
+        "0b822daa9c4ef19cbc99070dfe965bd45ed4b5804b5cd158cc65421ae4bec0d1",
+    ),
+}
+
+# Every row and column sum, and every cosine product, is past double range.
+OVERFLOW_CSV = ",A,B\nA,1e308,1e308\nB,1e308,1e308\n"
+
 
 @pytest.fixture
 def zero_weakness_csv(tmp_path):
@@ -73,6 +99,17 @@ def test_bundled_pwr_output_matches_frozen_digests(self_citations, k_max, capsys
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
     if chart_digest:
         assert hashlib.sha256(chart.read_bytes()).hexdigest() == chart_digest
+
+
+@pytest.mark.parametrize(("diagonal", "threshold", "resolution"), sorted(FROZEN_DECOMPOSE_DIGESTS))
+def test_bundled_decompose_output_matches_frozen_digests(diagonal, threshold, resolution, capsys):
+    stdout_digest, stderr_digest = FROZEN_DECOMPOSE_DIGESTS[(diagonal, threshold, resolution)]
+    argv = ["decompose", "--input", FIXTURE, "--cosine-diagonal", diagonal]
+    argv += ["--cosine-threshold", threshold, "--resolution", resolution]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == stderr_digest
 
 
 class TestPwrCommand:
@@ -496,6 +533,36 @@ class TestConvertCommand:
         assert read_pajek(target.read_text(encoding="utf-8")).entry(1, 0) == 1e308
 
 
+@pytest.mark.parametrize(
+    ("argv", "code", "report"),
+    [
+        pytest.param(
+            ["pwr"], 0, ["converged=no k_converged=- final_delta=nan", "flagged=A,B"], id="pwr"
+        ),
+        pytest.param(
+            ["compare"], 2, ["error: authority scores overflow double range"], id="compare"
+        ),
+        pytest.param(
+            ["compare", "--metrics", "pagerank,hits"],
+            2,
+            ["error: authority scores overflow double range"],
+            id="compare-pagerank-hits",
+        ),
+        pytest.param(
+            ["decompose"], 1, ["error: similarities must be finite"], id="decompose"
+        ),
+    ],
+)
+def test_overflowing_sums_print_no_numpy_warning(argv, code, report, capsys, tmp_path):
+    src = _csv_file(tmp_path, OVERFLOW_CSV)
+    # a numpy RuntimeWarning would be an extra stderr line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--input", src]) == code
+    _out, err = capsys.readouterr()
+    assert [line for line in err.splitlines() if not line.startswith("WARNING: ")] == report
+
+
 class TestTopLevel:
     def test_no_arguments_exits_1(self, capsys):
         code = main([])
@@ -647,13 +714,13 @@ def cli_cases(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cli_cases())
-# pinned: a network without vertices, and a grand total past double range
+# pinned: a network without vertices, and sums past double range
 @example(
     case=(".net", b"*Vertices 0\n*Arcs\n", ["scc", "--input", "{src}", "--largest", "--output", "{dir}/c.net"])
 )
-@example(
-    case=(".csv", b",A,B\nA,1e308,1e308\nB,1e308,1e308\n", ["convert", "--input", "{src}", "--output", "{dir}/m.net"])
-)
+@example(case=(".csv", OVERFLOW_CSV.encode(), ["convert", "--input", "{src}", "--output", "{dir}/m.net"]))
+@example(case=(".csv", OVERFLOW_CSV.encode(), ["decompose", "--input", "{src}"]))
+@example(case=(".csv", OVERFLOW_CSV.encode(), ["compare", "--input", "{src}"]))
 def test_any_input_and_flags_end_in_an_exit_code(case, capsys, tmp_path):
     suffix, data, argv = case
     src = tmp_path / f"in{suffix}"

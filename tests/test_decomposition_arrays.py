@@ -2,8 +2,8 @@
 
 Differential tests hold the similarity, threshold, Louvain and modularity
 routes to the dense and dict-based formulations in
-``reference_decomposition`` bit for bit, on dense and CSR storage and on
-both the plain-Python and the vectorised node-visit routes.  A memory guard
+``reference_decomposition`` bit for bit, on dense and CSR storage and with
+the default and a tiny chunk size for the builtin sums.  A memory guard
 keeps the sparse route free of n x n arrays, and a networkx cross-check
 ties modularity to an independent implementation.
 """
@@ -32,16 +32,16 @@ from pwrkit.matrix import DENSE_LIMIT
 
 from . import reference_decomposition as ref
 
-# (narrow-visit degree limit, list/chunk size): the defaults, and every visit
-# vectorised with per-row slicing and chunked sums.
-ROUTES = [
-    pytest.param(decomposition._SMALL_DEGREE, decomposition._CHUNK, id="default"),
-    pytest.param(0, 4, id="vectorised"),
+# Chunk size of the builtin sums: the default, and one small enough that
+# total weights are summed over several chunks.
+CHUNKS = [
+    pytest.param(decomposition._CHUNK, id="default"),
+    pytest.param(4, id="small-chunk"),
 ]
 
 
-def routed(small_degree: int, chunk: int):
-    return mock.patch.multiple(decomposition, _SMALL_DEGREE=small_degree, _CHUNK=chunk)
+def chunked(chunk: int):
+    return mock.patch.object(decomposition, "_CHUNK", chunk)
 
 
 @st.composite
@@ -77,13 +77,13 @@ def fielded_matrix(n: int, fields: int, per_column: int, seed: int) -> CitationM
     return CitationMatrix(tuple(f"J{i}" for i in range(n)), entries)
 
 
-@pytest.mark.parametrize("small_degree, chunk", ROUTES)
+@pytest.mark.parametrize("chunk", CHUNKS)
 @settings(max_examples=60, deadline=None)
 @given(edge_lists(), st.sampled_from([0.0, 0.5, 1.0, 1.7]))
-def test_louvain_matches_dict_reference(small_degree, chunk, graph, resolution):
+def test_louvain_matches_dict_reference(chunk, graph, resolution):
     n, edges = graph
     g = UndirectedGraph(tuple(f"v{i}" for i in range(n)), edges)
-    with routed(small_degree, chunk):
+    with chunked(chunk):
         part = louvain_partition(g, resolution=resolution)
     community_of, q = ref.louvain(n, edges, resolution)
     assert part.community_of == community_of
@@ -95,15 +95,15 @@ def test_louvain_matches_dict_reference(small_degree, chunk, graph, resolution):
         )
 
 
-@pytest.mark.parametrize("small_degree, chunk", ROUTES)
-def test_every_unit_weight_graph_up_to_six_nodes_matches(small_degree, chunk):
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_every_unit_weight_graph_up_to_six_nodes_matches(chunk):
     # unit weights tie almost every gain, so this pins the tie-breaking
     for n in range(2, 7):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         labels = tuple(f"v{i}" for i in range(n))
         for mask in range(0, 1 << len(pairs), 1 if n < 6 else 61):
             edges = [(i, j, 1.0) for bit, (i, j) in enumerate(pairs) if mask >> bit & 1]
-            with routed(small_degree, chunk):
+            with chunked(chunk):
                 part = louvain_partition(UndirectedGraph(labels, edges))
             assert (part.community_of, part.q) == ref.louvain(n, edges), (n, mask)
 
@@ -128,8 +128,8 @@ def test_similarity_and_threshold_match_dense_reference(seed, n, policy, tau):
     assert list(threshold_graph(sims, tau).edges) == ref.threshold_edges(expected, tau)
 
 
-@pytest.mark.parametrize("small_degree, chunk", ROUTES)
-def test_csr_storage_matches_dense_reference(small_degree, chunk):
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_csr_storage_matches_dense_reference(chunk):
     z = fielded_matrix(DENSE_LIMIT + 76, fields=11, per_column=6, seed=1)
     assert z.is_sparse
     expected = ref.dense_cosine(z.to_dense())
@@ -137,7 +137,7 @@ def test_csr_storage_matches_dense_reference(small_degree, chunk):
     graph = threshold_graph(sims, 0.1)
     edges = ref.threshold_edges(expected, 0.1)
     assert list(graph.edges) == edges
-    with routed(small_degree, chunk):
+    with chunked(chunk):
         part = louvain_partition(graph)
     community_of, q = ref.louvain(z.n, edges)
     assert part.community_of == community_of
