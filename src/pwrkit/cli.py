@@ -84,6 +84,21 @@ def _message(exc: BaseException) -> str:
     return str(exc)
 
 
+class _OncePerRun(logging.Filter):
+    """Drops a log message this run already printed (``compare`` runs the engine twice)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: set[str] = set()
+
+    def filter(self, record: logging.LogRecord) -> bool:
+        message = record.getMessage()
+        if message in self.seen:
+            return False
+        self.seen.add(message)
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits on usage errors; surface them as regular input errors
     # instead so exit codes stay meaningful.
@@ -278,9 +293,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise CliError(EXIT_INPUT, "nothing to compare; request at least one metric")
 
     lines = ["label," + ",".join(m.name for m in columns)]
-    for idx, name in enumerate(columns[0].labels):
-        cells = [repr(float(m.values[idx])) for m in columns]
-        lines.append(f"{name}," + ",".join(cells))
+    cells = [map(repr, m.values.tolist()) for m in columns]
+    lines.extend(map(",".join, zip(columns[0].labels, *cells)))
     lines.append("")
     lines.append("metric_x,metric_y,pearson,spearman")
     table = compare_rankings(columns)
@@ -394,6 +408,10 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
+    # one filter per handler: a filter shared by two handlers would pass a message to one only
+    filters = [(handler, _OncePerRun()) for handler in logging.getLogger().handlers]
+    for handler, once in filters:
+        handler.addFilter(once)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -408,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        for handler, once in filters:
+            handler.removeFilter(once)
 
 
 def run() -> None:

@@ -104,6 +104,8 @@ def pagerank(
     if z.n < 1:
         raise ValueError("matrix must have at least one node")
     cols = column_sums(z)
+    if not np.isfinite(cols).all():
+        raise ContractError("column sums overflow double range; pagerank is undefined")
     dangling = cols == 0.0
     inverse = np.divide(1.0, cols, out=np.zeros_like(cols), where=~dangling)
     if z.is_sparse:
@@ -230,22 +232,25 @@ def align_to(reference: MetricVector, other: MetricVector) -> MetricVector:
 
 
 def compare_rankings(metrics: Sequence[MetricVector]) -> list[list[RankingComparison]]:
-    """All pairwise Pearson/Spearman comparisons, aligned to the first metric."""
+    """All pairwise Pearson/Spearman comparisons, aligned to the first metric.
+
+    Each metric is ranked once and each unordered pair computed once; the
+    mirror cell reuses both floats, since the coefficient is symmetric bit
+    for bit.
+    """
     if not metrics:
         raise ContractError("need at least one metric to compare")
     aligned = [metrics[0]] + [align_to(metrics[0], m) for m in metrics[1:]]
-    table: list[list[RankingComparison]] = []
-    for x in aligned:
-        row = []
-        for y in aligned:
-            row.append(
-                RankingComparison(
-                    labels=x.labels,
-                    x=x,
-                    y=y,
-                    pearson_r=pearson(x, y),
-                    spearman_rho=spearman(x, y),
-                )
-            )
-        table.append(row)
-    return table
+    ranks = [rankdata(m.values) for m in aligned]
+    pairs = {
+        (i, j): (pearson(aligned[i], aligned[j]), _pearson_of(ranks[i], ranks[j]))
+        for i in range(len(aligned))
+        for j in range(i, len(aligned))
+    }
+    return [
+        [
+            RankingComparison(x.labels, x, y, *pairs[min(i, j), max(i, j)])
+            for j, y in enumerate(aligned)
+        ]
+        for i, x in enumerate(aligned)
+    ]

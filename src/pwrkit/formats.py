@@ -21,13 +21,14 @@ import io
 import logging
 import math
 import re
+from collections.abc import Iterator
 
 import numpy as np
 from scipy import sparse
 
 from .comparators import MetricVector
 from .engine import TraceTable
-from .matrix import CitationMatrix, nonzero_entries
+from .matrix import CitationMatrix, nonzero_arrays
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +37,10 @@ _BARE_VERTEX = re.compile(r"^(\d+)\s+(\S+)$")
 
 TRACE_HEADER = ("label", "k", "power", "weakness", "ratio")
 METRIC_HEADER = ("label", "value")
+
+# Arc lines read per token list; bounds the reader's working memory.
+_CHUNK = 1 << 16
+_NO_ARCS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 class ParseError(ValueError):
@@ -52,6 +57,14 @@ def _format_number(value: float) -> str:
     if value == int(value) and abs(value) < 2**53:
         return str(int(value))
     return repr(value)
+
+
+def _number_cells(values: np.ndarray) -> list[str]:
+    """Finite values as :func:`_format_number` prints them, in bulk when all are integers."""
+    whole = np.trunc(values)
+    if (whole == values).all() and (np.abs(values) < 2**53).all():
+        return list(map(str, whole.astype(np.int64).tolist()))
+    return list(map(_format_number, values.tolist()))
 
 
 def read_pajek(text: str) -> CitationMatrix:
@@ -108,47 +121,89 @@ def read_pajek(text: str) -> CitationMatrix:
     if missing:
         raise ParseError(f"vertex ids without a definition: {missing}")
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    if arcs_line is not None:
+    if arcs_line is None:
+        log.warning("network file has no *Arcs section; matrix is all zeros")
+        src, dst, weight = _NO_ARCS
+    else:
         line_no, content = arcs_line
         section = content.split()[0].lower()
         if section != "*arcs":
             raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
-        while True:
-            item = next_content()
-            if item is None:
-                break
-            line_no, content = item
-            if content.startswith("*"):
-                raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
-            tokens = content.split()
-            if len(tokens) != 3:
-                raise ParseError(f"expected 'src dst weight', got {content!r}", line_no)
-            try:
-                src, dst = int(tokens[0]), int(tokens[1])
-                weight = float(tokens[2])
-            except ValueError:
-                raise ParseError(f"malformed arc line: {content!r}", line_no) from None
-            if not (1 <= src <= n and 1 <= dst <= n):
-                raise ParseError(f"arc endpoint outside 1..{n}: {content!r}", line_no)
-            if not math.isfinite(weight) or weight < 0.0:
-                raise ParseError(f"arc weight must be finite and >= 0: {content!r}", line_no)
-            rows.append(src - 1)
-            cols.append(dst - 1)
-            data.append(weight)
-    else:
-        log.warning("network file has no *Arcs section; matrix is all zeros")
+        src, dst, weight = _read_arcs(lines, pos, n)
 
-    entries = sparse.coo_array(
-        (np.asarray(data), (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))),
-        shape=(n, n),
-    ).tocsr()
+    entries = sparse.coo_array((weight, (src - 1, dst - 1)), shape=(n, n)).tocsr()
     try:
         return CitationMatrix(tuple(labels), entries)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _read_arcs(lines: list[str], start: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arc lines ``lines[start:]`` as 1-based (src, dst) and weight arrays.
+
+    The lines are read in chunks, and one mask then checks the whole section.
+    Any rejection re-reads the section line by line for the positioned error.
+    """
+    parts = []
+    for lo in range(start, len(lines), _CHUNK):
+        part = _arc_chunk(lines[lo : lo + _CHUNK])
+        if part is None:
+            raise _arc_error(lines, start, n)
+        parts.append(part)
+    # the empty arrays keep the dtypes when the section has no arc lines
+    src, dst, weight = (np.concatenate(column) for column in zip(*parts, _NO_ARCS))
+    ok = (src >= 1) & (src <= n) & (dst >= 1) & (dst <= n) & np.isfinite(weight) & (weight >= 0.0)
+    if not ok.all():
+        raise _arc_error(lines, start, n)
+    return src, dst, weight
+
+
+def _arc_chunk(chunk: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A chunk's arcs as arrays, or None when some line is not three numbers.
+
+    The content lines are joined with a ``%`` token between them and split
+    once.  The numbers go through Python's own ``int`` and ``float``, which
+    take exactly the tokens the per-line rule takes.  ``%`` is not a number,
+    so once the token count is right, a line with more or fewer than three
+    tokens puts a ``%`` where a number is converted.
+    """
+    content = [s for s in map(str.strip, chunk) if s and s[0] != "%"]
+    m = len(content)
+    tokens = " % ".join(content).split()
+    if m and len(tokens) != 4 * m - 1:
+        return None
+    try:
+        return (
+            np.fromiter(map(int, tokens[0::4]), dtype=np.int64, count=m),
+            np.fromiter(map(int, tokens[1::4]), dtype=np.int64, count=m),
+            np.fromiter(map(float, tokens[2::4]), dtype=np.float64, count=m),
+        )
+    except (ValueError, OverflowError):
+        # OverflowError: an endpoint past int64, which is out of range as well
+        return None
+
+
+def _arc_error(lines: list[str], start: int, n: int) -> ParseError:
+    """The positioned error for the first arc line the per-line rule rejects."""
+    for line_no, line in enumerate(lines[start:], start=start + 1):
+        content = line.strip()
+        if not content or content.startswith("%"):
+            continue
+        if content.startswith("*"):
+            return ParseError(f"unsupported section {content.split()[0]!r}", line_no)
+        tokens = content.split()
+        if len(tokens) != 3:
+            return ParseError(f"expected 'src dst weight', got {content!r}", line_no)
+        try:
+            src, dst = int(tokens[0]), int(tokens[1])
+            weight = float(tokens[2])
+        except ValueError:
+            return ParseError(f"malformed arc line: {content!r}", line_no)
+        if not (1 <= src <= n and 1 <= dst <= n):
+            return ParseError(f"arc endpoint outside 1..{n}: {content!r}", line_no)
+        if not math.isfinite(weight) or weight < 0.0:
+            return ParseError(f"arc weight must be finite and >= 0: {content!r}", line_no)
+    raise AssertionError("the arc mask rejected a section the per-line rule accepts")
 
 
 def write_pajek(z: CitationMatrix) -> str:
@@ -163,8 +218,10 @@ def write_pajek(z: CitationMatrix) -> str:
             raise ValueError(f"vertex {i}: label {name!r} holds a quote or a line break")
         out.append(f'{i} "{name}"')
     out.append("*Arcs")
-    for i, j, weight in nonzero_entries(z):
-        out.append(f"{i + 1} {j + 1} {_format_number(weight)}")
+    rows, cols, weights = nonzero_arrays(z)
+    out.extend(
+        map("{} {} {}".format, (rows + 1).tolist(), (cols + 1).tolist(), _number_cells(weights))
+    )
     return "\n".join(out) + "\n"
 
 
@@ -232,10 +289,31 @@ def write_csv_matrix(z: CitationMatrix) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([""] + list(z.labels))
-    dense = z.to_dense()
-    for i, name in enumerate(z.labels):
-        writer.writerow([name] + [_format_number(v) for v in dense[i]])
+    for name, cells in zip(z.labels, _row_cells(z)):
+        buffer.write(f"{_csv_label(name)},{','.join(cells)}\n")
     return buffer.getvalue()
+
+
+def _csv_label(name: str) -> str:
+    """A label as the csv module writes it in the first cell of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([name, ""])
+    return buffer.getvalue()[:-2]
+
+
+def _row_cells(z: CitationMatrix) -> Iterator[list[str]]:
+    """Each row's cells as :func:`_format_number` prints them; CSR rows come
+    from their ``indptr`` slice, so no n x n array is built."""
+    if not z.is_sparse:
+        yield from map(_number_cells, z.entries)
+        return
+    csr = z.entries
+    bounds = csr.indptr.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cells = ["0"] * z.n
+        for j, cell in zip(csr.indices[lo:hi].tolist(), _number_cells(csr.data[lo:hi])):
+            cells[j] = cell
+        yield cells
 
 
 def write_trace_csv(trace: TraceTable) -> str:

@@ -215,11 +215,17 @@ def extract_subgraph(z: CitationMatrix, nodes: NodeSet | Sequence[int]) -> Citat
     return CitationMatrix(subset.labels, picked)
 
 
-def nonzero_entries(z: CitationMatrix) -> Iterator[tuple[int, int, float]]:
-    """Yield (row, column, weight) for every nonzero entry in row-major order."""
+def nonzero_arrays(z: CitationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and weights of the nonzero entries in row-major order."""
     coo = sparse.coo_array(z.entries)
     keep = coo.data != 0.0
-    yield from zip(coo.row[keep].tolist(), coo.col[keep].tolist(), coo.data[keep].tolist())
+    return coo.row[keep], coo.col[keep], coo.data[keep]
+
+
+def nonzero_entries(z: CitationMatrix) -> Iterator[tuple[int, int, float]]:
+    """Yield (row, column, weight) for every nonzero entry in row-major order."""
+    rows, cols, weights = nonzero_arrays(z)
+    yield from zip(rows.tolist(), cols.tolist(), weights.tolist())
 
 
 def matrix_power_oracle(z: CitationMatrix, k: int) -> CitationMatrix:

@@ -72,6 +72,7 @@ FROZEN_DECOMPOSE_DIGESTS = {
 
 # Every row and column sum, and every cosine product, is past double range.
 OVERFLOW_CSV = ",A,B\nA,1e308,1e308\nB,1e308,1e308\n"
+PAGERANK_OVERFLOW = "error: column sums overflow double range; pagerank is undefined"
 
 
 @pytest.fixture
@@ -492,6 +493,31 @@ class TestCompareCommand:
             "error: matrix has no citations; hub and authority scores are undefined\n"
         )
 
+    def test_each_warning_is_printed_once(self, tmp_path):
+        # pwr and cf each run the engine on the matrix; stderr carries one copy
+        data = _csv_file(tmp_path, ",A,B\nA,0,0\nB,0,0\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "pwrkit.cli", "compare", "--input", data],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "WARNING: 2 node(s) cite nothing within the set and will score extreme ratios: A, B",
+            "WARNING: 2 node(s) are never cited within the set: A, B",
+            "WARNING: matrix has a zero iterate; trace flagged as degenerate",
+            "error: matrix has no citations; hub and authority scores are undefined",
+        ]
+
+    def test_next_run_prints_its_warnings_again(self, caplog, capsys, tmp_path):
+        data = _csv_file(tmp_path, ",A,B\nA,0,0\nB,0,0\n")
+        for _ in range(2):
+            assert main(["compare", "--input", data, "--metrics", "pwr,cf"]) == 2
+        capsys.readouterr()
+        messages = [record.getMessage() for record in caplog.records]
+        assert messages.count("matrix has a zero iterate; trace flagged as degenerate") == 2
+
     def test_output_file_duplicates_table(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code = main(["compare", "--input", FIXTURE, "--metrics", "cf", "--output", str(target)])
@@ -539,14 +565,24 @@ class TestConvertCommand:
         pytest.param(
             ["pwr"], 0, ["converged=no k_converged=- final_delta=nan", "flagged=A,B"], id="pwr"
         ),
-        pytest.param(
-            ["compare"], 2, ["error: authority scores overflow double range"], id="compare"
-        ),
+        pytest.param(["compare"], 2, [PAGERANK_OVERFLOW], id="compare"),
         pytest.param(
             ["compare", "--metrics", "pagerank,hits"],
             2,
-            ["error: authority scores overflow double range"],
+            [PAGERANK_OVERFLOW],
             id="compare-pagerank-hits",
+        ),
+        pytest.param(
+            ["compare", "--metrics", "pagerank,cf"],
+            2,
+            [PAGERANK_OVERFLOW],
+            id="compare-pagerank-cf",
+        ),
+        pytest.param(
+            ["compare", "--metrics", "hits"],
+            2,
+            ["error: authority scores overflow double range"],
+            id="compare-hits",
         ),
         pytest.param(
             ["decompose"], 1, ["error: similarities must be finite"], id="decompose"

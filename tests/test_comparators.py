@@ -8,12 +8,13 @@ solvers.
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import sparse, stats
 
 from pwrkit import (
     CitationMatrix,
@@ -26,6 +27,7 @@ from pwrkit import (
     citation_factor,
     column_sums,
     compare_rankings,
+    comparators,
     hits,
     pagerank,
     pearson,
@@ -34,6 +36,7 @@ from pwrkit import (
     row_sums,
     spearman,
 )
+from pwrkit.matrix import DENSE_LIMIT
 
 from .conftest import build
 
@@ -128,6 +131,17 @@ class TestPagerank:
         np.testing.assert_allclose(
             pagerank(journals).values, pagerank(doubled).values, atol=1e-9
         )
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_overflowing_column_sums_are_refused(self, storage):
+        # dropping the inf columns would leak their mass: scores summing to 0.15
+        n = 2 if storage == "dense" else DENSE_LIMIT + 1
+        entries = sparse.csr_array(([1e308, 1e308, 1e308], ([0, 1, 1], [1, 1, 0])), shape=(n, n))
+        z = CitationMatrix(tuple(f"J{i}" for i in range(n)), entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="column sums overflow double range"):
+                pagerank(z)
 
 
 class TestHits:
@@ -247,6 +261,29 @@ class TestAlignment:
         assert table[0][1].pearson_r == pytest.approx(table[1][0].pearson_r)
         # y reversed through alignment: perfectly anti-correlated with x
         assert table[0][1].pearson_r == pytest.approx(-1.0)
+
+    def test_compare_rankings_cells_match_pearson_and_spearman(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        labels = " ".join(f"J{i}" for i in range(40))
+        metrics = [metric(f"m{k}", labels, rng.integers(0, 9, 40) * 0.1) for k in range(5)]
+        calls = []
+        real_rankdata = comparators.rankdata
+
+        def counting_rankdata(values):
+            calls.append(len(values))
+            return real_rankdata(values)
+
+        monkeypatch.setattr(comparators, "rankdata", counting_rankdata)
+        table = compare_rankings(metrics)
+        assert len(calls) == len(metrics)
+        monkeypatch.setattr(comparators, "rankdata", real_rankdata)
+        for i, x in enumerate(metrics):
+            for j, y in enumerate(metrics):
+                cell = table[i][j]
+                assert cell.x is x and cell.y is y
+                # bit for bit: repr round-trips every double exactly
+                assert repr(cell.pearson_r) == repr(pearson(x, y))
+                assert repr(cell.spearman_rho) == repr(spearman(x, y))
 
     def test_compare_rankings_needs_input(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from pwrkit import (
     CitationMatrix,
@@ -28,6 +29,7 @@ from pwrkit import (
     write_trace_csv,
 )
 from pwrkit.formats import _format_number
+from pwrkit.matrix import DENSE_LIMIT, nonzero_entries
 
 from .conftest import build
 
@@ -288,6 +290,57 @@ def test_format_number_keeps_integers_compact():
     assert _format_number(6979.0) == "6979"
     assert _format_number(0.5) == "0.5"
     assert _format_number(2.0**53) == repr(2.0**53)
+
+
+# Integers, halves, values around 2**53 and a sum that is not a short decimal.
+MIXED_WEIGHTS = [1.0, 3.0, 6979.0, 0.5, 1e-300, 0.1 + 0.2, 2.0**53 - 1, 2.0**53, 1e17]
+
+
+def sparse_matrix(n: int, rows, cols, weights) -> CitationMatrix:
+    entries = sparse.coo_array((weights, (rows, cols)), shape=(n, n)).tocsr()
+    return CitationMatrix(tuple(f"J{i}" for i in range(n)), entries)
+
+
+@st.composite
+def mixed_weight_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    count = draw(st.integers(min_value=0, max_value=12))
+    index = st.lists(st.integers(0, n - 1), min_size=count, max_size=count)
+    weights = draw(
+        st.one_of(
+            st.lists(st.sampled_from(MIXED_WEIGHTS), min_size=count, max_size=count),
+            st.lists(st.integers(1, 9).map(float), min_size=count, max_size=count),
+        )
+    )
+    return sparse_matrix(n, draw(index), draw(index), weights)
+
+
+def assert_bulk_writers_follow_format_number(z: CitationMatrix) -> None:
+    arcs = write_pajek(z).splitlines()[z.n + 2 :]
+    assert arcs == [f"{i + 1} {j + 1} {_format_number(w)}" for i, j, w in nonzero_entries(z)]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([""] + list(z.labels))
+    for name, row in zip(z.labels, z.to_dense().tolist()):
+        writer.writerow([name] + [_format_number(v) for v in row])
+    assert write_csv_matrix(z) == buffer.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_weight_matrices())
+def test_bulk_writers_print_each_weight_as_format_number(z):
+    assert_bulk_writers_follow_format_number(z)
+    assert read_csv_matrix(write_csv_matrix(z)) == z
+    assert read_pajek(write_pajek(z)) == z
+
+
+@pytest.mark.parametrize("weights", [MIXED_WEIGHTS, [1.0, 3.0, 19.0]], ids=["mixed", "integers"])
+def test_bulk_writers_on_csr_storage(weights):
+    n = DENSE_LIMIT + 1
+    k = len(weights)
+    z = sparse_matrix(n, [0, n - 1, 5] * k, list(range(3 * k)), weights * 3)
+    assert z.is_sparse
+    assert_bulk_writers_follow_format_number(z)
 
 
 @st.composite
