@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import rankdata
 
 from .engine import ContractError, PwrOptions, ZeroDivision, pwr_trace
 from .matrix import CitationMatrix, column_sums, grand_total
@@ -205,6 +204,26 @@ def pearson(x: MetricVector, y: MetricVector) -> float:
     """Sample Pearson correlation of two metrics over the same labels."""
     a, b = _aligned_values(x, y)
     return _pearson_of(a, b)
+
+
+def rankdata(values: np.ndarray) -> np.ndarray:
+    """1-based average-tied ranks as doubles; any NaN makes every rank NaN.
+
+    Each average rank is an exact half-integer, so the result matches
+    ``scipy.stats.rankdata`` bit for bit without importing ``scipy.stats``,
+    which would dominate start-up.
+    """
+    a = np.asarray(values).ravel()
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    # ties (0.0 and -0.0 among them) form runs; a run spans [start, end)
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def spearman(x: MetricVector, y: MetricVector) -> float:

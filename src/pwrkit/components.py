@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .engine import ContractError
 from .matrix import CitationMatrix, NodeSet, extract_subgraph
@@ -32,6 +31,9 @@ class SccResult:
 
 def _component_ids(z: CitationMatrix) -> np.ndarray:
     """Component id per node; ids ascend with each component's smallest member."""
+    # imported here: csgraph pulls in scipy.linalg, a start-up cost only scc needs
+    from scipy.sparse.csgraph import connected_components
+
     # csgraph counts explicit stored zeros as arcs; a CSR matrix can hold them.
     _count, raw = connected_components(z.entries != 0, directed=True, connection="strong")
     # raw ids are 0..count-1; first[c] is the smallest member of raw component c

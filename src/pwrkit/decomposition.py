@@ -408,37 +408,41 @@ def _local_moving(
     # Real inputs settle in a handful of sweeps; the budget only guards
     # against float near-ties cycling forever.
     sweeps_left = 100 + 10 * level_n
-    while moved and sweeps_left > 0:
-        sweeps_left -= 1
-        moved = False
-        for v in sweep:
-            current = community[v]
-            kv = degree[v]
-            a, b = ptr[v], ptr[v + 1]
-            sigma[current] -= kv
-            # Number the neighbouring communities without sorting: slot
-            # ends up holding one neighbour position per community.
-            pos = positions[: b - a]
-            comms = community[indices[a:b]]
-            slot[comms] = pos
-            rep = slot[comms]
-            is_rep = rep == pos
-            found = comms[is_rep]
-            compact[rep[is_rep]] = positions[: len(found)]
-            sums = np.bincount(compact[rep], weights=weights[a:b])
-            gain = sums / m - resolution * sigma[found] * kv / scale
-            top = int(gain.argmax())
-            # A leader ahead of every rival by more than eps wins the
-            # ascending scan whatever the candidate order; else scan.
-            if np.count_nonzero(gain + _GAIN_EPS >= gain[top]) == 1:
-                best = found[top]
-            else:
-                asc = np.argsort(found)
-                best = _first_best(found[asc].tolist(), gain[asc].tolist())
-            community[v] = best
-            sigma[best] += kv
-            if best != current:
-                moved = moved_any = True
+    # A resolution near the top of double range overflows the penalty term
+    # to inf (inf * 0 to nan) and the gains compare as they are.  Entered once
+    # per level: per visit, the context manager would cost more than the row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while moved and sweeps_left > 0:
+            sweeps_left -= 1
+            moved = False
+            for v in sweep:
+                current = community[v]
+                kv = degree[v]
+                a, b = ptr[v], ptr[v + 1]
+                sigma[current] -= kv
+                # Number the neighbouring communities without sorting: slot
+                # ends up holding one neighbour position per community.
+                pos = positions[: b - a]
+                comms = community[indices[a:b]]
+                slot[comms] = pos
+                rep = slot[comms]
+                is_rep = rep == pos
+                found = comms[is_rep]
+                compact[rep[is_rep]] = positions[: len(found)]
+                sums = np.bincount(compact[rep], weights=weights[a:b])
+                gain = sums / m - resolution * sigma[found] * kv / scale
+                top = int(gain.argmax())
+                # A leader ahead of every rival by more than eps wins the
+                # ascending scan whatever the candidate order; else scan.
+                if np.count_nonzero(gain + _GAIN_EPS >= gain[top]) == 1:
+                    best = found[top]
+                else:
+                    asc = np.argsort(found)
+                    best = _first_best(found[asc].tolist(), gain[asc].tolist())
+                community[v] = best
+                sigma[best] += kv
+                if best != current:
+                    moved = moved_any = True
     return community.tolist(), moved_any
 
 

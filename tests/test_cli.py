@@ -599,6 +599,27 @@ def test_overflowing_sums_print_no_numpy_warning(argv, code, report, capsys, tmp
     assert [line for line in err.splitlines() if not line.startswith("WARNING: ")] == report
 
 
+@pytest.mark.parametrize(
+    ("diagonal", "report"),
+    [
+        pytest.param("include", "Q=-1.4450169745104152e+307 communities=7\n", id="include"),
+        pytest.param("exclude", "Q=-1.4725135581066238e+307 communities=7\n", id="exclude"),
+    ],
+)
+def test_resolution_at_end_of_double_range_prints_no_numpy_warning(diagonal, report, capsys):
+    # the modularity penalty overflows to inf; partition and Q frozen from
+    # the release that printed the numpy warning with them
+    argv = ["decompose", "--input", FIXTURE, "--cosine-diagonal", diagonal]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--resolution", "1e308"]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "c1875df3bcad67507c3026c4c31f10ccfad22d4bd8c749e0ca9237943ad9cf01"
+    )
+    assert err == report
+
+
 class TestTopLevel:
     def test_no_arguments_exits_1(self, capsys):
         code = main([])

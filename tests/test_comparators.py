@@ -213,6 +213,14 @@ class TestCorrelations:
         with pytest.raises(ValueError, match="finite"):
             pearson(x, metric("y", "A B", [1, 2]))
 
+    def test_spearman_refuses_nan(self):
+        # a rank that sorted NaN last would return a coefficient here
+        x = metric("x", "A B C", [1, np.nan, 3])
+        y = metric("y", "A B C", [1, 2, 3])
+        for args in ((x, y), (y, x)):
+            with pytest.raises(ContractError, match="correlation inputs must be finite"):
+                spearman(*args)
+
     def test_label_mismatch_lists_offenders(self):
         x = metric("x", "A B", [1, 2])
         y = metric("y", "A C", [1, 2])
@@ -316,6 +324,32 @@ def test_spearman_matches_scipy(seed):
     ours = spearman(metric("a", labels, a), metric("b", labels, b))
     reference = stats.spearmanr(a, b).statistic
     assert ours == pytest.approx(reference, abs=1e-12)
+
+
+# Signed zeros, both infinities, the smallest subnormal and values near the
+# top of double range; drawn from small pools, so arrays are full of ties.
+RANK_SPECIALS = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308]
+
+
+@st.composite
+def rank_inputs(draw):
+    pool = draw(
+        st.lists(st.sampled_from(RANK_SPECIALS) | st.floats(allow_nan=False), min_size=1, max_size=6)
+    )
+    n = draw(st.integers(min_value=0, max_value=300))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        values[draw(st.integers(min_value=0, max_value=n - 1))] = np.nan
+    return np.array(values, dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_inputs())
+def test_rankdata_matches_scipy_bit_for_bit(values):
+    ours = comparators.rankdata(values)
+    reference = stats.rankdata(values)
+    assert ours.dtype == reference.dtype
+    assert ours.tobytes() == reference.tobytes()
 
 
 def test_undefined_results_raise_contract_error():
