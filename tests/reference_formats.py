@@ -77,7 +77,8 @@ def read_pajek(text: str) -> CitationMatrix:
         labels[vid - 1] = name
     missing = [i + 1 for i, name in enumerate(labels) if name is None]
     if missing:
-        raise ParseError(f"vertex ids without a definition: {missing}")
+        more = f" (and {len(missing) - 10} more)" if len(missing) > 10 else ""
+        raise ParseError(f"vertex ids without a definition: {missing[:10]}{more}")
 
     rows: list[int] = []
     cols: list[int] = []

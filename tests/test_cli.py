@@ -316,6 +316,24 @@ class TestSccCommand:
         assert err == "error: matrix has no nodes; there is no largest component\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("*Vertices 99999999999999999999\n", "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] (and 99999999999999999989 more)"),
+            ('*Vertices 200000\n1 "A"\n', "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] (and 199989 more)"),
+        ],
+        ids=["past-int64", "200k-declared"],
+    )
+    def test_vertex_count_the_file_does_not_bear_out_exits_1(self, text, missing, capsys, tmp_path):
+        net = tmp_path / "declared.net"
+        net.write_text(text, encoding="utf-8")
+        code = main(["scc", "--input", str(net)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        # one bounded line, whatever the declared count
+        assert err == f"error: {net}: vertex ids without a definition: {missing}\n"
+
 
 class TestSubsetCommand:
     def test_threshold_subgraph_to_stdout(self, capsys, tmp_path):

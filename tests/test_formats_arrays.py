@@ -1,12 +1,13 @@
 """The chunked Pajek reader and the row-streamed writers against references.
 
 A differential property holds ``read_pajek`` to the line-by-line reader in
-``reference_formats``: on mutated arc sections both return the same matrix,
-bit for bit, or raise the same message.  It runs at the default chunk size and
-at one so small that every section spans several chunks and the first bad
-line may sit in an earlier chunk than the one that fails.  Memory guards keep
-the reader from holding a whole-file token list and the CSV writer from
-holding an n x n array.
+``reference_formats``: on mutated vertex and arc sections both return the
+same matrix, bit for bit, or raise the same message.  It runs at the default
+chunk size and at one so small that every section spans several chunks and
+the first bad line may sit in an earlier chunk than the one that fails.  A
+benchmark-shaped file must take the bulk path for plain sections.  Memory
+guards keep the reader from holding a whole-file token list and the CSV
+writer from holding an n x n array.
 """
 
 from __future__ import annotations
@@ -73,10 +74,47 @@ def arc_line(draw, n: int) -> str:
     return draw(st.sampled_from(["", " ", "\xa0"])) + line + draw(st.sampled_from(["", " "]))
 
 
+# Forms of vertex line i that the bulk path takes, that only the line-by-line
+# rules accept, or that they reject: bare labels, labels holding a space, a tab
+# or a quote, an empty label, leading zeros, Unicode digits, \xa0 separators,
+# text after the closing quote, and ids that clash with another line's
+# ({j}), fall outside 1..n ({m}) or are zero.
+VERTEX_FORMS = [
+    '{i} J{i}', '{i} "J {i}"', '{i} "J\t{i}"', '{i} "J"{i}"', '{i} J {i}', '{i} ""', '{i} "J{i}""',
+    '\t{i}  "J{i}" \t', '0{i} "J{i}"', '{u} "J{i}"', '{i}\xa0"J{i}"', '\xa0{i} "J{i}"',
+    '{i} "J{i}"\xa0', '{i} "J{i}" x', '{j} "J{i}"', '{m} "J{i}"', '0 "J{i}"',
+]
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def vertex_section(draw, n: int) -> list[str]:
+    """The n vertex lines, plain half the time, otherwise with a few mutated,
+    swapped, interleaved with comments or blanks, or followed by one more."""
+    lines = [f'{i} "J{i}"' for i in range(1, n + 1)]
+    if draw(st.booleans()):
+        return lines
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["form"] * 4 + ["swap", "insert", "extra"]))
+        if kind == "form":
+            i, j = at + 1, draw(st.integers(1, n))
+            form = draw(st.sampled_from(VERTEX_FORMS))
+            lines[at] = form.format(i=i, j=j, m=n + 1, u=str(i).translate(ARABIC_INDIC))
+        elif kind == "swap":
+            other = draw(st.integers(0, n - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif kind == "insert":
+            lines.insert(at, draw(st.sampled_from(["% vertex", "", "   ", "\xa0"])))
+        else:
+            lines.append(draw(st.sampled_from([f'{n + 1} "X"', '1 "X"', "J", '1 "J1"'])))
+    return lines
+
+
 @st.composite
 def pajek_texts(draw) -> str:
     n = draw(st.sampled_from([1, 3, 5, 1100]))
-    head = [f"*Vertices {n}"] + [f'{i} "J{i}"' for i in range(1, n + 1)]
+    head = [f"*Vertices {n}"] + draw(vertex_section(n))
     section = draw(st.sampled_from(["*Arcs", "*Arcs", "*Arcs", "*arcs", "*Edges", None]))
     body = draw(st.lists(arc_line(n), max_size=24)) if section else []
     lines = head + ([section] if section else []) + body
@@ -101,6 +139,13 @@ def outcome(reader, text: str):
 @example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2 3\n1 2\n1 2 3 4\n2 2 nan\n')
 @example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2 1\n2 1 1\n1 1 1\n2 2 1\n1 3 1\n1 2 x\n')
 @example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2 3\n1 % 2\n12345678901234567890 1 1\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2 1234567890123456\n2 1 999999999999999\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2 99999999999999999999\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2\n2 1 1 1\n')
+@example(text='*Vertices 3\n1 "A"\n2 "B\tC"\n\n3 "D"\n*Arcs\n1\t2  3\n 2 3 007 \n')
+@example(text='*Vertices 2\n2 "B"\n1 "A"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A"\n2 ""\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\n3 "C"\n*Arcs\n1 2 3\n')
 def test_reader_matches_line_by_line_reference(chunk, text):
     with chunked(chunk):
         assert outcome(read_pajek, text) == outcome(ref.read_pajek, text)
@@ -126,6 +171,21 @@ def fields_text(n: int, seed: int) -> str:
     weights = rng.integers(1, 20, 10 * n).astype(float)
     entries = sparse.coo_array((weights, (cited, citing)), shape=(n, n)).tocsr()
     return write_pajek(CitationMatrix(tuple(f"J{i:06d}" for i in range(n)), entries))
+
+
+def test_plain_sections_take_the_bulk_path():
+    text = fields_text(30_000, seed=0)
+    expected = ref.read_pajek(text)
+    # the line-by-line routes must not be needed, or a later edit could fall
+    # back to them on plain input without a test noticing
+    slow = AssertionError("a plain section took the line-by-line route")
+    with mock.patch.object(formats, "_arc_chunk", side_effect=slow), mock.patch.object(
+        formats, "_vertex_lines", side_effect=slow
+    ):
+        z = read_pajek(text)
+    assert z.is_sparse and z.labels == expected.labels
+    for part in ("indptr", "indices", "data"):
+        assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
 
 
 def test_reader_keeps_no_whole_file_token_list():
