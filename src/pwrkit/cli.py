@@ -10,7 +10,9 @@ undefined on well-formed input (a library :class:`ContractError` such as zero
 weakness under the error policy, an :class:`IterationLimitError`, an empty
 subset, or an edgeless similarity graph).  Non-convergence of the iteration
 is a diagnostic, not an error, and still exits 0.  Only :func:`main` maps
-exceptions to exit codes; any other ``ValueError`` or ``KeyError`` exits 1.
+exceptions to exit codes; any other ``ValueError`` or ``KeyError``, and a
+``MemoryError`` (an input or flag asking for more memory than the host has),
+exits 1.
 When results stream to standard output, auxiliary summaries go to standard
 error so the data stays machine-readable; with ``--output`` the summaries
 use standard output.
@@ -425,6 +427,10 @@ def main(argv: list[str] | None = None) -> int:
     # ParseError and UnicodeDecodeError are ValueErrors too
     except (ValueError, KeyError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
+        return EXIT_INPUT
+    # a flag such as a huge --k-max can ask for more memory than the host has
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         for handler, once in filters:

@@ -13,7 +13,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .engine import ContractError, PwrOptions, ZeroDivision, pwr_trace
 from .matrix import CitationMatrix, column_sums, grand_total
@@ -108,6 +107,8 @@ def pagerank(
     dangling = cols == 0.0
     inverse = np.divide(1.0, cols, out=np.zeros_like(cols), where=~dangling)
     if z.is_sparse:
+        from scipy import sparse  # loaded already: z holds a csr_array
+
         walk = (z.entries @ sparse.diags(inverse)).tocsr()
     else:
         walk = z.entries * inverse[np.newaxis, :]

@@ -25,7 +25,6 @@ import re
 from collections.abc import Iterator
 
 import numpy as np
-from scipy import sparse
 
 from .comparators import MetricVector
 from .engine import TraceTable
@@ -109,6 +108,9 @@ def read_pajek(text: str) -> CitationMatrix:
         if content.split()[0].lower() != "*arcs":
             raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
         src, dst, weight = _read_arcs(lines, line_no, n)
+
+    # imported here: a network file always builds CSR, a dense run never does
+    from scipy import sparse
 
     entries = sparse.coo_array((weight, (src - 1, dst - 1)), shape=(n, n)).tocsr()
     try:

@@ -6,25 +6,41 @@ citing side: ``Z[i][j]`` counts citations from journal ``j`` to journal ``i``.
 Matrices up to :data:`DENSE_LIMIT` nodes are stored dense (numpy); larger ones
 switch to compressed sparse rows so complete-database-scale inputs stay
 tractable.  All operations are pure: they return new objects and never mutate.
+
+Dense storage runs on numpy alone: ``scipy.sparse`` costs as much start-up as
+numpy itself, so it is imported only when a CSR matrix is built or used.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, TypeAlias
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 # Above this node count matrices are held in CSR form instead of dense arrays.
 DENSE_LIMIT = 1024
 
-Entries = np.ndarray | sparse.csr_array
+Entries: TypeAlias = "np.ndarray | csr_array"
+
+
+def _sparse():
+    """``scipy.sparse``, imported on the first CSR matrix."""
+    from scipy import sparse
+
+    return sparse
 
 
 def _canonical_entries(values: object, n: int) -> Entries:
     """Validate raw entries and normalize storage by node count."""
-    if sparse.issparse(values):
+    # no object can be a scipy sparse array before scipy.sparse is loaded
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(values):
         mat = values.tocsr() if not isinstance(values, sparse.csr_array) else values
         mat = sparse.csr_array(mat, dtype=np.float64)
         if mat.shape != (n, n):
@@ -48,7 +64,7 @@ def _canonical_entries(values: object, n: int) -> Entries:
     if arr.size and arr.min() < 0.0:
         raise ValueError("matrix entries must be non-negative")
     if n > DENSE_LIMIT:
-        return sparse.csr_array(arr)
+        return _sparse().csr_array(arr)
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -84,7 +100,8 @@ class CitationMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sparse.issparse(self.entries)
+        # stored entries are an ndarray or a csr_array, nothing else
+        return not isinstance(self.entries, np.ndarray)
 
     def to_dense(self) -> np.ndarray:
         """Entries as a writable dense array copy."""
@@ -109,6 +126,7 @@ class CitationMatrix:
         if self.labels != other.labels:
             return False
         if self.is_sparse or other.is_sparse:
+            sparse = _sparse()
             a = self.entries if self.is_sparse else sparse.csr_array(self.entries)
             b = other.entries if other.is_sparse else sparse.csr_array(other.entries)
             return (a != b).nnz == 0
@@ -164,7 +182,7 @@ def zero_diagonal(z: CitationMatrix) -> CitationMatrix:
     if z.is_sparse:
         coo = z.entries.tocoo()
         keep = coo.row != coo.col
-        cleaned = sparse.csr_array(
+        cleaned = _sparse().csr_array(
             (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
         )
         return CitationMatrix(z.labels, cleaned)
@@ -209,7 +227,7 @@ def extract_subgraph(z: CitationMatrix, nodes: NodeSet | Sequence[int]) -> Citat
         subset = NodeSet(z.labels, tuple(nodes))
     idx = np.asarray(subset.indices, dtype=np.intp)
     if z.is_sparse:
-        picked = z.entries[idx][:, idx] if len(idx) else sparse.csr_array((0, 0))
+        picked = z.entries[idx][:, idx] if len(idx) else _sparse().csr_array((0, 0))
     else:
         picked = z.entries[np.ix_(idx, idx)]
     return CitationMatrix(subset.labels, picked)
@@ -217,7 +235,10 @@ def extract_subgraph(z: CitationMatrix, nodes: NodeSet | Sequence[int]) -> Citat
 
 def nonzero_arrays(z: CitationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and weights of the nonzero entries in row-major order."""
-    coo = sparse.coo_array(z.entries)
+    if not z.is_sparse:
+        rows, cols = np.nonzero(z.entries)
+        return rows, cols, z.entries[rows, cols]
+    coo = z.entries.tocoo()
     keep = coo.data != 0.0
     return coo.row[keep], coo.col[keep], coo.data[keep]
 

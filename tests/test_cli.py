@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,28 @@ class TestPwrCommand:
         _out, err = capsys.readouterr()
         assert code == 1
         assert "error: tol must be positive and finite, got nan" in err
+
+    def test_allocation_beyond_memory_exits_1(self, capsys, monkeypatch):
+        # the trace array is (k_max, n); a real multi-TiB request could be
+        # granted by an overcommitting host, so the refusal is simulated
+        k_max = 100_000_000_000
+        real_empty = np.empty
+        asked = []
+
+        def empty(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[0] == k_max:
+                asked.append(shape)
+                raise MemoryError(f"Unable to allocate 5.09 TiB for an array with shape {shape}")
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        code = main(["pwr", "--input", FIXTURE, "--k-max", str(k_max)])
+        out, err = capsys.readouterr()
+        assert asked == [(k_max, 7)]
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory: Unable to allocate 5.09 TiB")
+        assert err.count("\n") == 1
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code = main(["pwr", "--input", str(tmp_path / "nope.csv")])

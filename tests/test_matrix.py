@@ -20,8 +20,12 @@ from pwrkit import (
     nonzero_entries,
     row_sums,
     transpose,
+    write_csv_matrix,
+    write_pajek,
     zero_diagonal,
 )
+from pwrkit import matrix
+from pwrkit.matrix import nonzero_arrays
 
 from .conftest import build
 
@@ -244,3 +248,50 @@ def test_transpose_swaps_row_and_column_sums(z):
 def test_grand_total_matches_both_sum_routes(z):
     assert grand_total(z) == pytest.approx(float(row_sums(z).sum()), rel=1e-12)
     assert grand_total(z) == pytest.approx(float(column_sums(z).sum()), rel=1e-12)
+
+
+# zeros of both signs, fractions, the largest finite weight and the smallest
+# subnormal, among arbitrary finite non-negative weights
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 0.1, 1e308, 5e-324]),
+    st.floats(min_value=0.0, max_value=1e308, allow_nan=False),
+)
+
+
+@st.composite
+def edge_weight_matrices(draw, max_n: int = 6):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    cells = draw(st.lists(WEIGHTS, min_size=n * n, max_size=n * n))
+    labels = tuple(f"J{i}" for i in range(n))
+    return CitationMatrix(labels, np.asarray(cells, dtype=np.float64).reshape(n, n))
+
+
+def stored_as_csr(z: CitationMatrix) -> CitationMatrix:
+    """The same matrix held in CSR storage, as a matrix above DENSE_LIMIT is."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix, "DENSE_LIMIT", -1)
+        return CitationMatrix(z.labels, sparse.csr_array(z.entries))
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_weight_matrices())
+def test_dense_nonzero_arrays_match_the_coo_route(z):
+    assert not z.is_sparse
+    coo = sparse.coo_array(z.entries)
+    keep = coo.data != 0.0
+    rows, cols, weights = nonzero_arrays(z)
+    assert rows.tolist() == coo.row[keep].tolist()
+    assert cols.tolist() == coo.col[keep].tolist()
+    assert weights.tolist() == coo.data[keep].tolist()
+    csr = stored_as_csr(z)
+    assert csr.is_sparse
+    expected = [rows.tolist(), cols.tolist(), weights.tolist()]
+    assert [a.tolist() for a in nonzero_arrays(csr)] == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_weight_matrices())
+def test_writers_emit_the_same_bytes_for_dense_and_csr_storage(z):
+    csr = stored_as_csr(z)
+    assert write_pajek(csr) == write_pajek(z)
+    assert write_csv_matrix(csr) == write_csv_matrix(z)

@@ -4,6 +4,9 @@
 writers could break it without any other test noticing.  Each workload runs
 one cycle at the generator's smallest size (n = 200) through the harness's
 own ``Workload`` and ``Runner``, and every call must pass its output check.
+A second run goes through ``main()`` and reads the JSON result line it
+prints last, which must carry every end-to-end metric ``BENCHMARK.json``
+declares, in that file's unit.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 WORKLOADS = json.loads((PERFBENCH / "spec.json").read_text(encoding="utf-8"))["workloads"]
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
 
 def harness(monkeypatch):
@@ -31,16 +36,45 @@ def harness(monkeypatch):
     return module
 
 
+def small(spec: dict) -> dict:
+    """The workload's spec with its generated graph at the smallest size."""
+    spec = copy.deepcopy(spec)
+    if "generator" in spec:
+        spec["generator"]["n"] = 200
+    return spec
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_one_cycle_passes_every_check(name, monkeypatch, tmp_path):
     run = harness(monkeypatch)
     monkeypatch.setattr(run, "WORK", tmp_path)
-    spec = copy.deepcopy(WORKLOADS[name])
-    if "generator" in spec:
-        spec["generator"]["n"] = 200
+    spec = small(WORKLOADS[name])
     workload = run.Workload(name, spec, seed=0)
     monkeypatch.chdir(workload.dir)
     runner = run.Runner(workload, None)
     runner.measure(0)
     assert [call[0] for call in runner.calls] == list(range(len(spec["commands"])))
     assert [call[4] for call in runner.calls] == [None] * len(spec["commands"])
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_result_line_carries_every_end_to_end_metric(name, monkeypatch, tmp_path, capsys):
+    run = harness(monkeypatch)
+
+    class SmallWorkload(run.Workload):
+        def __init__(self, name: str, spec: dict, seed: int) -> None:
+            super().__init__(name, small(spec), seed)
+
+    monkeypatch.setattr(run, "WORK", tmp_path)
+    monkeypatch.setattr(run, "Workload", SmallWorkload)
+    monkeypatch.setattr(sys, "argv", ["run.py", "--workload", name, "--seconds", "0"])
+    monkeypatch.chdir(tmp_path)
+    run.main()
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] == len(WORKLOADS[name]["commands"])
+    assert result["failed"] == 0
+    for metric in END_TO_END:
+        entry = result["metrics"][metric["name"]]
+        assert entry["unit"] == metric["unit"]
+        assert isinstance(entry["value"], float) and entry["value"] > 0.0
