@@ -14,6 +14,13 @@ sparse product for CSR), only its nonzero strict upper triangle is stored,
 the threshold graph is three arrays, and the modularity optimizer works on
 CSR adjacency arrays.  Citation counts are integers, so the Gram entries,
 and hence the similarities, are exact on either storage.
+
+Those CSR arrays are built and collapsed in time and memory linear in the
+directed entries (n loops plus both ends of every edge).  Node ids and
+sort keys are held in the narrowest unsigned dtype that fits (uint16 up to
+65,536 nodes, which numpy's stable sort orders by radix), and only the
+weights are float64; they are summed in the same order as ever, so
+partitions and Q do not depend on these choices.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class EdgeList(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(self)[k]
+            return tuple(zip(self.i[k].tolist(), self.j[k].tolist(), self.w[k].tolist()))
         return (int(self.i[k]), int(self.j[k]), float(self.w[k]))
 
     def __iter__(self) -> Iterator[tuple[int, int, float]]:
@@ -329,22 +336,47 @@ def _assignment_vector(
     return assignment
 
 
+def _node_dtype(count: int) -> type[np.unsignedinteger]:
+    """Narrowest unsigned dtype holding 0..count-1.
+
+    Up to 65,536 values fit uint16, which numpy's stable sort orders by radix.
+    """
+    for dtype in (np.uint16, np.uint32):
+        if count <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.uint64
+
+
 def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Level-0 CSR adjacency.
 
     Every level's rows start with the node's own loop weight (0.0 here),
     followed by its neighbours: in edge order at level 0, in order of first
     encounter after aggregation.
+
+    The n loops, then both ends of every edge in edge order, are keyed by
+    their row in the narrowest unsigned dtype (:func:`_node_dtype`), and one
+    stable sort of those keys places every entry, whatever the edge order.
+    ``indices`` keep that dtype; ``data`` is float64.
     """
     n, e = graph.n, graph.edges
-    nodes = np.arange(n)
-    src = np.concatenate((nodes, _interleave(e.i, e.j)))
+    dtype = _node_dtype(n)
+    src = np.empty(n + 2 * len(e), dtype=dtype)
+    dst = np.empty_like(src)
+    src[:n] = dst[:n] = np.arange(n)
+    src[n::2] = dst[n + 1 :: 2] = e.i
+    src[n + 1 :: 2] = dst[n::2] = e.j
+    # each temporary is dropped once used: the sort order is the only
+    # full-length int64 array
     order = src.argsort(kind="stable")
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.bincount(src, minlength=n).cumsum(out=indptr[1:])
-    dst = np.concatenate((nodes, _interleave(e.j, e.i)))
-    weight = np.concatenate((np.zeros(n), e.w.repeat(2)))
-    return indptr, dst[order], weight[order]
+    del src
+    indices = dst[order]
+    del dst
+    weight = np.zeros(len(order))
+    weight[n::2] = weight[n + 1 :: 2] = e.w
+    return indptr, indices, weight[order]
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,28 +492,47 @@ def _aggregate(
     row-major scan order.  An edge inside a community counts once, from its
     lower end, towards the super-node's loop weight; as every row starts
     with its own loop entry, that weight lands first in the new row too.
+
+    Each kept entry is keyed ``cv * new_n + cu`` in the narrowest unsigned
+    dtype that holds new_n^2 keys.  When there are no more possible keys
+    than kept entries (a level that collapses well, such as 5000 nodes into
+    25), one ``bincount`` into new_n^2 bins sums the weights and
+    ``minimum.at`` finds each key's first position; otherwise ``np.unique``
+    sorts the keys stably.  Either route sums each key's weights in scan
+    order, and each new row lists its neighbours in order of first
+    encounter.
     """
     level_n = len(community)
     first_seen: dict[int, int] = {}
     super_of = np.array([first_seen.setdefault(c, len(first_seen)) for c in community])
     new_n = len(first_seen)
-    rows = np.repeat(np.arange(level_n), indptr[1:] - indptr[:-1])
-    cv, cu = super_of[rows], super_of[indices]
-    keep = (cv != cu) | (indices >= rows)
-    key = (cv * new_n + cu)[keep]
-    order = key.argsort(kind="stable")
-    ordered = key[order]
-    starts = np.ones(len(key), dtype=bool)
-    starts[1:] = ordered[1:] != ordered[:-1]
-    group = np.empty(len(key), dtype=np.intp)
-    group[order] = starts.cumsum() - 1
-    weights = np.bincount(group, weights=data[keep])
-    key = ordered[starts]
+    bins = new_n * new_n
+    key_of = super_of.astype(_node_dtype(bins))
+    counts = indptr[1:] - indptr[:-1]
+    key = np.repeat(key_of, counts)  # cv, made cv * new_n + cu in place
+    cu = key_of[indices]
+    keep = (key != cu) | (indices >= np.repeat(np.arange(level_n, dtype=indices.dtype), counts))
+    key *= new_n
+    key += cu
+    del cu
+    key = key[keep]
+    kept = data[keep]
+    del keep
+    if bins <= len(key):
+        weights = np.bincount(key, weights=kept, minlength=bins)
+        first = np.full(bins, len(key))
+        np.minimum.at(first, key, np.arange(len(key)))
+        key = np.flatnonzero(first < len(key))
+        first, weights = first[key], weights[key]
+    else:
+        key, first, group = np.unique(key, return_index=True, return_inverse=True)
+        weights = np.bincount(group, weights=kept)
     src = key // new_n
-    by_row = np.lexsort((order[starts], src))
+    by_row = np.lexsort((first, src))
     new_indptr = np.zeros(new_n + 1, dtype=np.intp)
     np.bincount(src, minlength=new_n).cumsum(out=new_indptr[1:])
-    return new_indptr, (key % new_n)[by_row], weights[by_row], super_of[assignment]
+    new_indices = (key % new_n)[by_row].astype(_node_dtype(new_n))
+    return new_indptr, new_indices, weights[by_row], super_of[assignment]
 
 
 def louvain_partition(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -143,6 +144,31 @@ class ConvergenceReport:
         return self.k_converged
 
 
+# pwr_trace holds powers, weaknesses and ratios, each (k_max, n) float64, at once.
+_TRACE_ARRAYS = 3
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host, or 0 where the OS does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return 0
+    # sysconf answers -1 for a limit it cannot determine
+    return pages * size if pages > 0 and size > 0 else 0
+
+
+def _check_trace_fits(k_max: int, n: int) -> None:
+    """Refuse a trace that cannot fit in physical memory before filling it."""
+    need = _TRACE_ARRAYS * 8 * k_max * n
+    have = _physical_memory()
+    if have and need > have:
+        raise MemoryError(
+            f"a trace of k_max={k_max} iterations over {n} nodes needs {need} bytes, "
+            f"more than the {have} bytes of physical memory; lower --k-max"
+        )
+
+
 def _trace_vectors(
     z: CitationMatrix, k_max: int, normalize: bool
 ) -> tuple[np.ndarray, tuple[float, ...], str | None]:
@@ -152,6 +178,10 @@ def _trace_vectors(
     first k whose iterate sum is not finite), or is None.
     """
     vectors = np.empty((k_max, z.n), dtype=np.float64)
+    # np.empty only reserves address space: a request the host refuses
+    # outright has raised MemoryError already, and one it grants is checked
+    # before any page of it is written.
+    _check_trace_fits(k_max, z.n)
     scales: list[float] = []
     problem: str | None = None
     v = np.ones(z.n, dtype=np.float64)

@@ -5,6 +5,11 @@ n x n cosine matrix, a pairwise threshold loop, and Louvain and modularity
 over adjacency dicts.  They cost O(n^2) memory or a Python operation per
 edge, so the library does not use them; the differential tests require the
 library's array versions to reproduce them bit for bit.
+
+``adjacency`` and ``aggregate`` are the first array versions of Louvain's
+CSR plumbing: int64 keys, one stable sort per level and full-length
+temporaries.  They fix the layout the library's narrow-dtype versions must
+reproduce value for value.
 """
 
 from __future__ import annotations
@@ -150,3 +155,47 @@ def louvain(n: int, edges, resolution: float = 1.0, sweep_order=None):
         members = new_members
 
     return tuple(assignment), modularity(n, edges, assignment, resolution)
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(a), dtype=np.intp)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def adjacency(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """Level-0 CSR arrays: each row is its loop (0.0), then neighbours in edge order."""
+    nodes = np.arange(n)
+    src = np.concatenate((nodes, _interleave(i, j)))
+    order = src.argsort(kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.bincount(src, minlength=n).cumsum(out=indptr[1:])
+    dst = np.concatenate((nodes, _interleave(j, i)))
+    weight = np.concatenate((np.zeros(n), w.repeat(2)))
+    return indptr, dst[order], weight[order]
+
+
+def aggregate(indptr, indices, data, community, assignment):
+    """Communities collapsed to super-nodes: rows in first-encounter order."""
+    level_n = len(community)
+    first_seen: dict[int, int] = {}
+    super_of = np.array([first_seen.setdefault(c, len(first_seen)) for c in community])
+    new_n = len(first_seen)
+    rows = np.repeat(np.arange(level_n), indptr[1:] - indptr[:-1])
+    cv, cu = super_of[rows], super_of[indices]
+    keep = (cv != cu) | (indices >= rows)
+    key = (cv * new_n + cu)[keep]
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    starts = np.ones(len(key), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(len(key), dtype=np.intp)
+    group[order] = starts.cumsum() - 1
+    weights = np.bincount(group, weights=data[keep])
+    key = ordered[starts]
+    src = key // new_n
+    by_row = np.lexsort((order[starts], src))
+    new_indptr = np.zeros(new_n + 1, dtype=np.intp)
+    np.bincount(src, minlength=new_n).cumsum(out=new_indptr[1:])
+    return new_indptr, (key % new_n)[by_row], weights[by_row], super_of[assignment]

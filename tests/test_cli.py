@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from pwrkit import (
     data_path,
+    engine,
     jasist_plus_matrix,
     read_csv_matrix,
     read_pajek,
@@ -71,6 +72,38 @@ FROZEN_DECOMPOSE_DIGESTS = {
     ),
 }
 
+# sha256 of `decompose --output` standard output and partition CSV on a
+# seeded field-structured network of 1200 journals, keyed by seed.  n is
+# above DENSE_LIMIT, so the matrix is CSR; frozen from the release whose
+# Louvain built its adjacency with int64 keys and stable int64 sorts.
+FROZEN_FIELDED_DECOMPOSE_DIGESTS = {
+    0: (
+        "79206cb03d6d0b1fd60674b4a633cbb0411713aa0a41786ea2b6e458782b9753",
+        "098afb52ba62f014e2582a34ac6bc18b62d42dd60b9d43478a182d543f535292",
+    ),
+    1: (
+        "692e9d4413302ed879b9d44c1733717d0e447f54b4d7f9c8ffb8692be0c0fd6e",
+        "95b6ea1f01db2590faab9746a76b5fb6d077fb3d1730231225be32a6393d70a2",
+    ),
+}
+
+
+def fielded_pajek(n: int, seed: int) -> str:
+    """Pajek text: 12 fields, 8 references per journal, 85% of them in field."""
+    rng = np.random.default_rng(seed)
+    fields = 12
+    citing = np.repeat(np.arange(n), 8)
+    inside = rng.random(citing.size) < 0.85
+    field = np.where(inside, citing % fields, rng.integers(0, fields, citing.size))
+    cited = field + fields * rng.integers(0, n // fields, citing.size)
+    weight = rng.integers(1, 10, citing.size)
+    lines = [f"*Vertices {n}"] + [f'{v} "J{v:04d}"' for v in range(1, n + 1)]
+    lines.append("*Arcs")
+    arcs = zip(cited.tolist(), citing.tolist(), weight.tolist())
+    lines += [f"{s + 1} {d + 1} {w}" for s, d, w in arcs]
+    return "\n".join(lines) + "\n"
+
+
 # Every row and column sum, and every cosine product, is past double range.
 OVERFLOW_CSV = ",A,B\nA,1e308,1e308\nB,1e308,1e308\n"
 PAGERANK_OVERFLOW = "error: column sums overflow double range; pagerank is undefined"
@@ -112,6 +145,18 @@ def test_bundled_decompose_output_matches_frozen_digests(diagonal, threshold, re
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
     assert hashlib.sha256(err.encode("utf-8")).hexdigest() == stderr_digest
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_FIELDED_DECOMPOSE_DIGESTS))
+def test_fielded_csr_decompose_output_matches_frozen_digests(seed, capsys, tmp_path):
+    stdout_digest, partition_digest = FROZEN_FIELDED_DECOMPOSE_DIGESTS[seed]
+    net = tmp_path / "fields.net"
+    net.write_text(fielded_pajek(1200, seed), encoding="utf-8")
+    partition = tmp_path / "partition.csv"
+    assert main(["decompose", "--input", str(net), "--output", str(partition)]) == 0
+    out, _err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+    assert hashlib.sha256(partition.read_bytes()).hexdigest() == partition_digest
 
 
 class TestPwrCommand:
@@ -239,6 +284,26 @@ class TestPwrCommand:
         assert out == ""
         assert err.startswith("error: out of memory: Unable to allocate 5.09 TiB")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["pwr", "compare"])
+    def test_k_max_beyond_physical_memory_exits_1(self, command, capsys, monkeypatch):
+        # three (k_max, 7) float64 arrays take 1_680_000 bytes at k_max = 10^4
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 1_000_000)
+        code = main([command, "--input", FIXTURE, "--k-max", "10000"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: out of memory: a trace of k_max=10000 iterations over 7 nodes needs "
+            "1680000 bytes, more than the 1000000 bytes of physical memory; lower --k-max\n"
+        )
+
+    @pytest.mark.parametrize("memory", [1_680_000, 0])
+    def test_k_max_within_physical_memory_runs(self, memory, capsys, monkeypatch):
+        # exactly enough, or a host that does not report its memory
+        monkeypatch.setattr(engine, "_physical_memory", lambda: memory)
+        assert main(["pwr", "--input", FIXTURE, "--k-max", "10000"]) == 0
+        capsys.readouterr()
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code = main(["pwr", "--input", str(tmp_path / "nope.csv")])

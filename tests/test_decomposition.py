@@ -190,6 +190,27 @@ class TestUndirectedGraph:
         assert hash(g) == hash(UndirectedGraph(("a", "b", "c"), g.edges))
         assert isinstance(g.edges[0][0], int) and isinstance(g.edges[0][2], float)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.one_of(st.none(), st.integers(min_value=-15, max_value=15)),
+        st.one_of(st.none(), st.integers(min_value=-15, max_value=15)),
+        st.one_of(st.none(), st.integers(min_value=-4, max_value=4).filter(bool)),
+    )
+    def test_edge_slices_match_tuple_slices(self, n, start, stop, step):
+        edges = [(k, k + 1 + k % 3, 0.5 + k) for k in range(n)]
+        labels = tuple(f"v{k}" for k in range(n + 3))
+        view = UndirectedGraph(labels, edges).edges
+        s = slice(start, stop, step)
+        got = view[s]
+        assert got == tuple(edges)[s]
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in got)
+
+    def test_edge_slice_converts_only_the_slice(self, monkeypatch):
+        g = UndirectedGraph(("a", "b", "c"), ((2, 0, 1.5), (1, 2, 3.0)))
+        monkeypatch.setattr(type(g.edges), "__iter__", None)
+        assert g.edges[1:] == ((1, 2, 3.0),)
+
 
 class TestModularity:
     def test_two_triangles_split_scores_half(self):
