@@ -54,6 +54,7 @@ from .engine import (
 )
 from .formats import (
     ParseError,
+    csv_cell,
     read_csv_matrix,
     read_metric_csv,
     read_pajek,
@@ -123,7 +124,7 @@ def _detect_format(path: Path, override: str | None, default: str | None = None)
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
 
@@ -252,7 +253,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     partition = louvain_partition(graph, resolution=args.resolution)
     lines = ["label,community"]
     for name, comm in zip(partition.labels, partition.community_of):
-        lines.append(f"{name},{comm}")
+        lines.append(f"{csv_cell(name)},{comm}")
     payload = "\n".join(lines) + "\n"
     _emit(payload, args.output, f"Q={partition.q!r} communities={partition.n_communities}")
     return EXIT_OK
@@ -294,18 +295,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not columns:
         raise CliError(EXIT_INPUT, "nothing to compare; request at least one metric")
 
-    lines = ["label," + ",".join(m.name for m in columns)]
+    names = [csv_cell(m.name) for m in columns]
+    lines = ["label," + ",".join(names)]
     cells = [map(repr, m.values.tolist()) for m in columns]
-    lines.extend(map(",".join, zip(columns[0].labels, *cells)))
+    lines.extend(map(",".join, zip(map(csv_cell, columns[0].labels), *cells)))
     lines.append("")
     lines.append("metric_x,metric_y,pearson,spearman")
     table = compare_rankings(columns)
     for i in range(len(columns)):
         for j in range(i + 1, len(columns)):
             cmp = table[i][j]
-            lines.append(
-                f"{columns[i].name},{columns[j].name},{cmp.pearson_r!r},{cmp.spearman_rho!r}"
-            )
+            lines.append(f"{names[i]},{names[j]},{cmp.pearson_r!r},{cmp.spearman_rho!r}")
     payload = "\n".join(lines) + "\n"
     sys.stdout.write(payload)
     if args.output:

@@ -38,6 +38,8 @@ _BARE_VERTEX = re.compile(r"^(\d+)\s+(\S+)$")
 # cut out, each ended by a newline.
 _QUOTED_LABEL = re.compile(r'"([^"\n]*)"')
 _PLAIN_HEADS = re.compile(r'(?:[ \t]*[0-9]{1,15}[ \t]+""[ \t]*\n)*')
+# The characters for which the csv module may quote a cell.
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 TRACE_HEADER = ("label", "k", "power", "weakness", "ratio")
 METRIC_HEADER = ("label", "value")
@@ -76,13 +78,15 @@ def _number_cells(values: np.ndarray) -> list[str]:
 def read_pajek(text: str) -> CitationMatrix:
     """Parse a network file with ``*Vertices`` and ``*Arcs`` sections.
 
-    Plain sections take a bulk path.  A vertex section is plain when the n
-    lines after its header read ``<id> "<label>"`` with ASCII ids 1..n in
-    order, nonempty labels, spaces or tabs around the fields, and a section
-    line (or the end) next.  A chunk of arc lines is plain when it is ASCII
-    and each line holds three digit runs of at most 15 digits, separated by
-    spaces or tabs.  Any other section or chunk takes the general path, and
-    on plain input both paths return the same labels and arrays.
+    Each vertex section and each chunk of arc lines is read either in bulk or
+    one line at a time.  A vertex section is read in bulk when the n lines
+    after its header read ``<id> "<label>"`` with ASCII ids 1..n in order,
+    nonempty labels, spaces or tabs around the fields, and a section line (or
+    the end) next.  A chunk of arc lines is read in bulk when it is ASCII and
+    each line holds three digit runs of at most 15 digits, separated by spaces
+    or tabs, with both endpoints in 1..n.  Any other section or chunk is read
+    line by line, which also raises the positioned errors; on input both
+    routes take, they return the same labels and arrays.
     """
     lines = text.lstrip("\ufeff").splitlines()
     first = _next_content(lines, 0)
@@ -197,26 +201,22 @@ def _missing_ids(names: dict[int, str], n: int) -> str:
 def _read_arcs(lines: list[str], start: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arc lines ``lines[start:]`` as 1-based (src, dst) and weight arrays.
 
-    The lines are read in chunks, and one mask then checks the whole section.
-    Any rejection re-reads the section line by line for the positioned error.
+    Each chunk of lines is read in bulk when plain, otherwise one line at a
+    time.  Chunks are read in order and each passes every check before the
+    next is read, so the first error raised names the section's first bad line.
     """
     parts = []
     for lo in range(start, len(lines), _CHUNK):
         chunk = lines[lo : lo + _CHUNK]
-        part = _plain_arcs(chunk) or _arc_chunk(chunk)
-        if part is None:
-            raise _arc_error(lines, start, n)
-        parts.append(part)
+        parts.append(_plain_arcs(chunk, n) or _arc_lines(chunk, lo + 1, n))
     # the empty arrays keep the dtypes when the section has no arc lines
     src, dst, weight = (np.concatenate(column) for column in zip(*parts, _NO_ARCS))
-    ok = (src >= 1) & (src <= n) & (dst >= 1) & (dst <= n) & np.isfinite(weight) & (weight >= 0.0)
-    if not ok.all():
-        raise _arc_error(lines, start, n)
     return src, dst, weight
 
 
-def _plain_arcs(chunk: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A plain chunk's arcs as arrays, or None when the chunk is not plain.
+def _plain_arcs(chunk: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A plain chunk's arcs as arrays, or None when the chunk is not plain or
+    an endpoint falls outside 1..n.
 
     Plain means ASCII digits, spaces and tabs only, with three digit runs of
     at most 15 digits on each line, so every number is an exact int64 and an
@@ -240,55 +240,42 @@ def _plain_arcs(chunk: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
     if not ((starts[2:-1:3] < newlines).all() and (newlines < starts[3::3]).all()):
         return None
     values = np.fromstring(text, dtype=np.int64, sep=" ")
-    return values[0::3], values[1::3], values[2::3].astype(np.float64)
-
-
-def _arc_chunk(chunk: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A chunk's arcs as arrays, or None when some line is not three numbers.
-
-    The content lines are joined with a ``%`` token between them and split
-    once.  The numbers go through Python's own ``int`` and ``float``, which
-    take exactly the tokens the per-line rule takes.  ``%`` is not a number,
-    so once the token count is right, a line with more or fewer than three
-    tokens puts a ``%`` where a number is converted.
-    """
-    content = [s for s in map(str.strip, chunk) if s and s[0] != "%"]
-    m = len(content)
-    tokens = " % ".join(content).split()
-    if m and len(tokens) != 4 * m - 1:
+    src, dst = values[0::3], values[1::3]
+    if min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > n:
         return None
-    try:
-        return (
-            np.fromiter(map(int, tokens[0::4]), dtype=np.int64, count=m),
-            np.fromiter(map(int, tokens[1::4]), dtype=np.int64, count=m),
-            np.fromiter(map(float, tokens[2::4]), dtype=np.float64, count=m),
-        )
-    except (ValueError, OverflowError):
-        # OverflowError: an endpoint past int64, which is out of range as well
-        return None
+    return src, dst, values[2::3].astype(np.float64)
 
 
-def _arc_error(lines: list[str], start: int, n: int) -> ParseError:
-    """The positioned error for the first arc line the per-line rule rejects."""
-    for line_no, line in enumerate(lines[start:], start=start + 1):
+def _arc_lines(
+    chunk: list[str], first_line_no: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A chunk's arcs as arrays, read one line at a time from line number
+    ``first_line_no``; raises the positioned error for the first line rejected."""
+    src: list[int] = []
+    dst: list[int] = []
+    weight: list[float] = []
+    for line_no, line in enumerate(chunk, start=first_line_no):
         content = line.strip()
         if not content or content.startswith("%"):
             continue
         if content.startswith("*"):
-            return ParseError(f"unsupported section {content.split()[0]!r}", line_no)
+            raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
         tokens = content.split()
         if len(tokens) != 3:
-            return ParseError(f"expected 'src dst weight', got {content!r}", line_no)
+            raise ParseError(f"expected 'src dst weight', got {content!r}", line_no)
         try:
-            src, dst = int(tokens[0]), int(tokens[1])
-            weight = float(tokens[2])
+            s, d = int(tokens[0]), int(tokens[1])
+            w = float(tokens[2])
         except ValueError:
-            return ParseError(f"malformed arc line: {content!r}", line_no)
-        if not (1 <= src <= n and 1 <= dst <= n):
-            return ParseError(f"arc endpoint outside 1..{n}: {content!r}", line_no)
-        if not math.isfinite(weight) or weight < 0.0:
-            return ParseError(f"arc weight must be finite and >= 0: {content!r}", line_no)
-    raise AssertionError("the arc mask rejected a section the per-line rule accepts")
+            raise ParseError(f"malformed arc line: {content!r}", line_no) from None
+        if not (1 <= s <= n and 1 <= d <= n):
+            raise ParseError(f"arc endpoint outside 1..{n}: {content!r}", line_no)
+        if not math.isfinite(w) or w < 0.0:
+            raise ParseError(f"arc weight must be finite and >= 0: {content!r}", line_no)
+        src.append(s)
+        dst.append(d)
+        weight.append(w)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(weight)
 
 
 def write_pajek(z: CitationMatrix) -> str:
@@ -375,14 +362,17 @@ def write_csv_matrix(z: CitationMatrix) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([""] + list(z.labels))
     for name, cells in zip(z.labels, _row_cells(z)):
-        buffer.write(f"{_csv_label(name)},{','.join(cells)}\n")
+        buffer.write(f"{csv_cell(name)},{','.join(cells)}\n")
     return buffer.getvalue()
 
 
-def _csv_label(name: str) -> str:
-    """A label as the csv module writes it in the first cell of a row."""
+def csv_cell(text: str) -> str:
+    """``text`` as the csv module writes it in one cell of a row: quoted, with
+    quotes doubled, when it holds a comma, a quote or a newline; else bare."""
+    if not _CSV_SPECIAL.search(text):
+        return text
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([name, ""])
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
     return buffer.getvalue()[:-2]
 
 

@@ -2,9 +2,10 @@
 
 It reads one line at a time: strip, skip blanks and ``%`` comments, split,
 convert with ``int`` and ``float``, check the range and the weight, and
-append to three Python lists.  The library reads the arc section in chunks
-of arrays instead; the differential tests require it to return the same
-matrix or raise the same message as this reader on every input.
+append to three Python lists.  The library reads a plain vertex section and
+each plain chunk of arc lines in bulk, and every other section or chunk line
+by line; the differential tests require it to return the same matrix or
+raise the same message as this reader on every input.
 """
 
 from __future__ import annotations

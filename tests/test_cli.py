@@ -7,7 +7,9 @@ end to end.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import subprocess
 import sys
 import warnings
@@ -18,6 +20,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pwrkit import (
+    CitationMatrix,
+    MetricVector,
     data_path,
     engine,
     jasist_plus_matrix,
@@ -446,6 +450,18 @@ class TestSubsetCommand:
         assert code == 0
         assert read_csv_matrix(out).labels == ("A", "B", "C")
 
+    def test_union_with_label_file_starting_with_bom(self, capsys, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(",A,B,C\nA,2,7,0\nB,0,0,0\nC,1,1,1\n", encoding="utf-8")
+        extra = tmp_path / "more.txt"
+        extra.write_text("\ufeffC\n", encoding="utf-8")
+        code = main(
+            ["subset", "--input", str(src), "--target", "A", "--min", "2", "--union-with", str(extra)]
+        )
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "kept 3 of 3 journal(s)\n")
+        assert read_csv_matrix(out).labels == ("A", "B", "C")
+
     def test_empty_subset_exits_2(self, capsys):
         code = main(["subset", "--input", FIXTURE, "--target", "JASIST", "--min", "99999"])
         _out, err = capsys.readouterr()
@@ -521,6 +537,47 @@ class TestDecomposeCommand:
         _out, err = capsys.readouterr()
         assert code == 1
         assert ">= 0" in err
+
+
+# Labels and a metric name that csv must quote: a comma, a quote, a newline.
+ODD_LABELS = ("A,B", 'Q"uote', "New\nline")
+
+
+@pytest.fixture
+def odd_labels_csv(tmp_path):
+    z = jasist_plus_matrix()
+    labels = ODD_LABELS + z.labels[len(ODD_LABELS) :]
+    path = tmp_path / "odd.csv"
+    path.write_text(write_csv_matrix(CitationMatrix(labels, z.entries)), encoding="utf-8")
+    return str(path), labels
+
+
+def test_decompose_partition_quotes_labels(odd_labels_csv, capsys):
+    path, labels = odd_labels_csv
+    assert main(["decompose", "--input", path]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["label", "community"]
+    assert [row[0] for row in rows[1:]] == list(labels)
+    assert {len(row) for row in rows} == {2}
+
+
+def test_compare_table_quotes_labels_and_metric_names(odd_labels_csv, capsys, tmp_path):
+    path, labels = odd_labels_csv
+    external = tmp_path / "ext.csv"
+    values = np.arange(len(labels), dtype=float)
+    external.write_text(write_metric_csv(MetricVector("ext", labels, values)), encoding="utf-8")
+    name = 'a,"b"\nc'
+    code = main(["compare", "--input", path, "--metrics", "pwr,cf", "--external", f"{name}={external}"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    blank = rows.index([])
+    table, pairs = rows[:blank], rows[blank + 1 :]
+    assert table[0] == ["label", "pwr", "cf", name]
+    assert [row[0] for row in table[1:]] == list(labels)
+    assert {len(row) for row in table} == {4}
+    assert pairs[0] == ["metric_x", "metric_y", "pearson", "spearman"]
+    assert [row[:2] for row in pairs[1:]] == [["pwr", "cf"], ["pwr", name], ["cf", name]]
+    assert {len(row) for row in pairs} == {4}
 
 
 class TestCompareCommand:

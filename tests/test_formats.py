@@ -28,7 +28,7 @@ from pwrkit import (
     write_pajek,
     write_trace_csv,
 )
-from pwrkit.formats import _format_number
+from pwrkit.formats import _format_number, csv_cell
 from pwrkit.matrix import DENSE_LIMIT, nonzero_entries
 
 from .conftest import build
@@ -429,3 +429,13 @@ def test_csv_writer_round_trips_or_refuses_labels(labels):
         assert any("\r" in name for name in labels)
         return
     assert read_csv_matrix(text) == z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(',"\r\n \t\x85\u2028ab'), max_size=6) | st.text(max_size=6))
+def test_csv_cell_matches_csv_module(text):
+    # csv_cell skips the csv module for text without a comma, quote or line
+    # break, so the module must leave every such cell bare
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, "x"])
+    assert f"{csv_cell(text)},x\n" == buffer.getvalue()

@@ -1,13 +1,16 @@
-"""The chunked Pajek reader and the row-streamed writers against references.
+"""The Pajek reader's two routes and the row-streamed writers against references.
 
-A differential property holds ``read_pajek`` to the line-by-line reader in
-``reference_formats``: on mutated vertex and arc sections both return the
-same matrix, bit for bit, or raise the same message.  It runs at the default
-chunk size and at one so small that every section spans several chunks and
-the first bad line may sit in an earlier chunk than the one that fails.  A
-benchmark-shaped file must take the bulk path for plain sections.  Memory
-guards keep the reader from holding a whole-file token list and the CSV
-writer from holding an n x n array.
+``read_pajek`` reads each vertex section and each chunk of arc lines either
+in bulk or line by line.  A differential property holds it to the
+line-by-line reader in ``reference_formats``: on mutated vertex and arc
+sections both return the same matrix, bit for bit, or raise the same
+message.  It runs at the default chunk size and at one so small that every
+section spans several chunks and a bad line may sit in a chunk after ones
+that were read in bulk.  At the default size, a section whose plain chunks
+alternate with ones that only the per-line route reads must match too.  A
+benchmark-shaped file must take the bulk routes.  Memory guards keep the
+reader from holding a whole-file token list and the CSV writer from holding
+an n x n array.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from pwrkit import CitationMatrix, ParseError, formats, read_pajek, write_csv_matrix, write_pajek
+from pwrkit.matrix import DENSE_LIMIT
 
 from . import reference_formats as ref
 
@@ -179,13 +183,57 @@ def test_plain_sections_take_the_bulk_path():
     # the line-by-line routes must not be needed, or a later edit could fall
     # back to them on plain input without a test noticing
     slow = AssertionError("a plain section took the line-by-line route")
-    with mock.patch.object(formats, "_arc_chunk", side_effect=slow), mock.patch.object(
+    with mock.patch.object(formats, "_arc_lines", side_effect=slow), mock.patch.object(
         formats, "_vertex_lines", side_effect=slow
     ):
         z = read_pajek(text)
     assert z.is_sparse and z.labels == expected.labels
     for part in ("indptr", "indices", "data"):
         assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
+
+
+def mixed_chunks_text(bad_endpoint: bool = False) -> str:
+    """A CSR-sized network whose arc section spans four chunks at the default
+    size: plain with CRLF ends, decimal weights and comments, plain (with one
+    endpoint past n when ``bad_endpoint``), then a short tail with a comment."""
+    n, chunk = DENSE_LIMIT + 1, formats._CHUNK
+    rng = np.random.default_rng(7)
+    ends = rng.integers(1, n + 1, size=(3 * chunk + 100, 2)).tolist()
+    arcs = [f"{s} {d} {w}" for (s, d), w in zip(ends, rng.integers(1, 20, len(ends)).tolist())]
+    for i in range(chunk, 2 * chunk - 1, 997):
+        arcs[i] = arcs[i].rsplit(" ", 1)[0] + " 2.5"
+        arcs[i + 1] = "% a comment"
+    if bad_endpoint:
+        arcs[2 * chunk + 5] = f"1 {n + 1} 3"
+    arcs[3 * chunk + 50] = "  % tail"
+    head = [f"*Vertices {n}"] + [f'{i} "J{i}"' for i in range(1, n + 1)] + ["*Arcs"]
+    crlf, lf = "\r\n".join(arcs[:chunk]), "\n".join(arcs[chunk:])
+    return "\n".join(head) + "\n" + crlf + "\r\n" + lf + "\n"
+
+
+def test_chunks_of_both_kinds_match_reference_at_default_size():
+    text = mixed_chunks_text()
+    expected = ref.read_pajek(text)
+    with mock.patch.object(formats, "_arc_lines", wraps=formats._arc_lines) as per_line:
+        z = read_pajek(text)
+    # chunks 1 and 3 hold decimal weights or comments; chunks 0 and 2 are plain
+    assert [call.args[1] for call in per_line.call_args_list] == [
+        DENSE_LIMIT + 3 + formats._CHUNK + 1,
+        DENSE_LIMIT + 3 + 3 * formats._CHUNK + 1,
+    ]
+    assert z.is_sparse and z.labels == expected.labels
+    for part in ("indptr", "indices", "data"):
+        assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
+
+
+def test_endpoint_past_n_in_plain_chunk_after_per_line_chunk():
+    text = mixed_chunks_text(bad_endpoint=True)
+    with pytest.raises(ParseError) as expected:
+        ref.read_pajek(text)
+    assert "arc endpoint outside" in str(expected.value)
+    with pytest.raises(ParseError) as got:
+        read_pajek(text)
+    assert str(got.value) == str(expected.value)
 
 
 def test_reader_keeps_no_whole_file_token_list():
