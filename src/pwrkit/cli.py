@@ -123,8 +123,9 @@ def _detect_format(path: Path, override: str | None, default: str | None = None)
 
 
 def _read_text(path: Path) -> str:
+    # not read_text: its universal newlines rewrite a CR LF inside a quoted CSV label
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
 
@@ -242,8 +243,8 @@ def cmd_subset(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     z = _load_matrix(args.input, args.format)
-    sims = citing_cosine_matrix(z, args.cosine_diagonal)
-    graph = threshold_graph(sims, args.cosine_threshold)
+    # no name holds the similarity pairs, so they are freed before Louvain runs
+    graph = threshold_graph(citing_cosine_matrix(z, args.cosine_diagonal), args.cosine_threshold)
     if not graph.edges:
         raise CliError(
             EXIT_CONTRACT,
@@ -251,10 +252,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             "modularity is undefined on an edgeless graph",
         )
     partition = louvain_partition(graph, resolution=args.resolution)
-    lines = ["label,community"]
-    for name, comm in zip(partition.labels, partition.community_of):
-        lines.append(f"{csv_cell(name)},{comm}")
-    payload = "\n".join(lines) + "\n"
+    rows = map("{},{}".format, map(csv_cell, partition.labels), partition.community_of)
+    payload = "\n".join(["label,community", *rows]) + "\n"
     _emit(payload, args.output, f"Q={partition.q!r} communities={partition.n_communities}")
     return EXIT_OK
 
@@ -299,8 +298,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lines = ["label," + ",".join(names)]
     cells = [map(repr, m.values.tolist()) for m in columns]
     lines.extend(map(",".join, zip(map(csv_cell, columns[0].labels), *cells)))
-    lines.append("")
-    lines.append("metric_x,metric_y,pearson,spearman")
+    lines += ["", "metric_x,metric_y,pearson,spearman"]
     table = compare_rankings(columns)
     for i in range(len(columns)):
         for j in range(i + 1, len(columns)):

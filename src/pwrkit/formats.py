@@ -392,18 +392,22 @@ def _row_cells(z: CitationMatrix) -> Iterator[list[str]]:
 
 
 def write_trace_csv(trace: TraceTable) -> str:
-    """Serialize a trace, label-major then k ascending, at full precision."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    ks = range(1, trace.k_max + 1)
-    columns = zip(trace.powers.T, trace.weaknesses.T, trace.ratios.T)
-    for name, (powers, weaknesses, ratios) in zip(trace.labels, columns):
-        writer.writerows(
-            [name, k, repr(p), repr(w), repr(r)]
-            for k, p, w, r in zip(ks, powers.tolist(), weaknesses.tolist(), ratios.tolist())
+    """Serialize a trace, label-major then k ascending, at full precision.
+
+    Rows are built a block of labels (about ``_CHUNK`` rows) at a time: each
+    label cell once, and each array's block in one ``repr`` pass.
+    """
+    ks = [str(k) for k in range(1, trace.k_max + 1)]
+    step = max(1, _CHUNK // max(1, trace.k_max))
+    arrays = (trace.powers, trace.weaknesses, trace.ratios)
+    out = [",".join(TRACE_HEADER)]
+    for lo in range(0, len(trace.labels) if ks else 0, step):  # k_max = 0 has no rows
+        cells = itertools.chain.from_iterable(
+            [cell] * trace.k_max for cell in map(csv_cell, trace.labels[lo : lo + step])
         )
-    return buffer.getvalue()
+        columns = [map(repr, a[:, lo : lo + step].T.ravel().tolist()) for a in arrays]
+        out.append("\n".join(map(",".join, zip(cells, itertools.cycle(ks), *columns))))
+    return "\n".join([*out, ""])  # not join + "\n", which copies the whole text once more
 
 
 def read_trace_csv(text: str) -> TraceTable:
@@ -465,9 +469,5 @@ def read_metric_csv(text: str, name: str = "external") -> MetricVector:
 
 
 def write_metric_csv(metric: MetricVector) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(METRIC_HEADER)
-    for name, value in zip(metric.labels, metric.values):
-        writer.writerow([name, repr(float(value))])
-    return buffer.getvalue()
+    rows = map("{},{!r}".format, map(csv_cell, metric.labels), metric.values.tolist())
+    return "\n".join([",".join(METRIC_HEADER), *rows]) + "\n"

@@ -1,15 +1,22 @@
-"""The line-by-line Pajek reader, kept as the oracle for the array reader.
+"""Per-cell readers and writers, kept as oracles for the array versions.
 
-It reads one line at a time: strip, skip blanks and ``%`` comments, split,
-convert with ``int`` and ``float``, check the range and the weight, and
-append to three Python lists.  The library reads a plain vertex section and
-each plain chunk of arc lines in bulk, and every other section or chunk line
-by line; the differential tests require it to return the same matrix or
-raise the same message as this reader on every input.
+``read_pajek`` is the line-by-line Pajek reader.  It reads one line at a
+time: strip, skip blanks and ``%`` comments, split, convert with ``int`` and
+``float``, check the range and the weight, and append to three Python lists.
+The library reads a plain vertex section and each plain chunk of arc lines in
+bulk, and every other section or chunk line by line; the differential tests
+require it to return the same matrix or raise the same message as this reader
+on every input.
+
+``write_trace_csv`` is the row-by-row trace writer: one ``csv.writer`` row
+and three ``repr`` calls per (label, k).  The library formats a block of
+labels at a time, column by column, and must produce the same bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 import re
@@ -17,7 +24,8 @@ import re
 import numpy as np
 from scipy import sparse
 
-from pwrkit.formats import ParseError
+from pwrkit.engine import TraceTable
+from pwrkit.formats import TRACE_HEADER, ParseError
 from pwrkit.matrix import CitationMatrix
 
 log = logging.getLogger("pwrkit.formats")
@@ -123,3 +131,18 @@ def read_pajek(text: str) -> CitationMatrix:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
+
+
+def write_trace_csv(trace: TraceTable) -> str:
+    """Serialize a trace, label-major then k ascending, at full precision."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    ks = range(1, trace.k_max + 1)
+    columns = zip(trace.powers.T, trace.weaknesses.T, trace.ratios.T)
+    for name, (powers, weaknesses, ratios) in zip(trace.labels, columns):
+        writer.writerows(
+            [name, k, repr(p), repr(w), repr(r)]
+            for k, p, w, r in zip(ks, powers.tolist(), weaknesses.tolist(), ratios.tolist())
+        )
+    return buffer.getvalue()

@@ -13,6 +13,7 @@ import io
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from pwrkit import (
     CitationMatrix,
     MetricVector,
+    cli,
     data_path,
     engine,
     jasist_plus_matrix,
@@ -88,6 +90,23 @@ FROZEN_FIELDED_DECOMPOSE_DIGESTS = {
     1: (
         "692e9d4413302ed879b9d44c1733717d0e447f54b4d7f9c8ffb8692be0c0fd6e",
         "95b6ea1f01db2590faab9746a76b5fb6d077fb3d1730231225be32a6393d70a2",
+    ),
+}
+
+# sha256 of `pwr --plot chart.svg --output trace.csv` standard output, chart
+# and trace CSV on the same seeded 1200-journal networks (CSR storage), keyed
+# by seed; frozen from the release whose writers formatted one row and one
+# chart point at a time.
+FROZEN_FIELDED_PWR_DIGESTS = {
+    0: (
+        "332f54808e4f913be0f30579a53c6bd2ff4b5061c12e8ffda24ca6620148ccd1",
+        "b1326623feed91062891b07c27f2fd3c6b34a1de4052d8c36979fa560efa7337",
+        "66be5d2a01f48f00479ec429efc3cc8713da22ab5fd24da7c3e6c25cc7484e46",
+    ),
+    1: (
+        "55884d8ee37895ef25ee6a7dc3b467e458e3cf8fc4ba75b60013f723ec201634",
+        "e02e55d2a0100d39c0deb146a2c694a26d1e715690f9dabfa78b9c83defa9bac",
+        "fd03e6ae1671f9ac8cae60671391c53c29dc72b8fe52718c78143e6222e2846a",
     ),
 }
 
@@ -161,6 +180,20 @@ def test_fielded_csr_decompose_output_matches_frozen_digests(seed, capsys, tmp_p
     out, _err = capsys.readouterr()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
     assert hashlib.sha256(partition.read_bytes()).hexdigest() == partition_digest
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_FIELDED_PWR_DIGESTS))
+def test_fielded_csr_pwr_output_matches_frozen_digests(seed, capsys, tmp_path):
+    stdout_digest, chart_digest, trace_digest = FROZEN_FIELDED_PWR_DIGESTS[seed]
+    net = tmp_path / "fields.net"
+    net.write_text(fielded_pajek(1200, seed), encoding="utf-8")
+    chart, trace = tmp_path / "chart.svg", tmp_path / "trace.csv"
+    argv = ["pwr", "--input", str(net), "--plot", str(chart), "--output", str(trace)]
+    assert main(argv) == 0
+    out, _err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+    assert hashlib.sha256(chart.read_bytes()).hexdigest() == chart_digest
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
 
 
 class TestPwrCommand:
@@ -462,6 +495,20 @@ class TestSubsetCommand:
         assert (code, err) == (0, "kept 3 of 3 journal(s)\n")
         assert read_csv_matrix(out).labels == ("A", "B", "C")
 
+    def test_cr_lf_network_and_label_files_read_as_lf_ones(self, capsys, tmp_path):
+        net = '*Vertices 3\n1 "A"\n2 "B"\n3 "C"\n*Arcs\n1 2 3\n2 1 4\n3 1 2\n1 3 1\n'
+        outputs = []
+        for newline in ("\n", "\r\n"):
+            src = tmp_path / "m.net"
+            src.write_bytes(net.replace("\n", newline).encode("utf-8"))
+            labels = tmp_path / "more.txt"
+            labels.write_bytes(f"C{newline}{newline}".encode("utf-8"))
+            argv = ["subset", "--input", str(src), "--target", "A", "--min", "3"]
+            assert main([*argv, "--union-with", str(labels)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert read_csv_matrix(outputs[0].out).labels == ("B", "C")
+
     def test_empty_subset_exits_2(self, capsys):
         code = main(["subset", "--input", FIXTURE, "--target", "JASIST", "--min", "99999"])
         _out, err = capsys.readouterr()
@@ -508,6 +555,27 @@ class TestDecomposeCommand:
         assert lines[0] == "label,community"
         assert len(lines) == 8
         assert "Q=" in err and "communities=2" in err
+
+    def test_similarity_pairs_are_freed_before_louvain(self, capsys, monkeypatch):
+        # the pairs are the largest arrays alive before Louvain; holding them
+        # through it raised the fields-5k peak by some 40 MB
+        refs = []
+        real_cosine, real_louvain = cli.citing_cosine_matrix, cli.louvain_partition
+
+        def cosine(*args):
+            sims = real_cosine(*args)
+            refs.append(weakref.ref(sims))
+            return sims
+
+        def louvain(graph, **kwargs):
+            assert refs and refs[0]() is None, "the similarity pairs are still referenced"
+            return real_louvain(graph, **kwargs)
+
+        monkeypatch.setattr(cli, "citing_cosine_matrix", cosine)
+        monkeypatch.setattr(cli, "louvain_partition", louvain)
+        assert main(["decompose", "--input", FIXTURE]) == 0
+        capsys.readouterr()
+        assert len(refs) == 1
 
     def test_threshold_too_high_exits_2(self, capsys):
         code = main(["decompose", "--input", FIXTURE, "--cosine-threshold", "1.0"])
@@ -707,6 +775,15 @@ class TestConvertCommand:
         assert main(["convert", "--input", FIXTURE, "--output", str(target), "--force"]) == 0
         capsys.readouterr()
         assert read_csv_matrix(target.read_text(encoding="utf-8")) == jasist_plus_matrix()
+
+    def test_forced_rewrite_keeps_cr_lf_inside_a_quoted_label(self, capsys, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_bytes(b',"A\r\nB",C\n"A\r\nB",0,1\nC,2,0\n')
+        target = tmp_path / "copy.csv"
+        assert main(["convert", "--input", str(src), "--output", str(target), "--force"]) == 0
+        capsys.readouterr()
+        assert target.read_bytes() == src.read_bytes()
+        assert read_csv_matrix(target.read_bytes().decode("utf-8")).labels == ("A\r\nB", "C")
 
     def test_grand_total_past_double_range_prints_inf(self, capsys, tmp_path):
         src = _csv_file(tmp_path, ",A,B\nA,1e308,1e308\nB,1e308,1e308\n")
