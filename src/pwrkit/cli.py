@@ -233,10 +233,7 @@ def cmd_subset(args: argparse.Namespace) -> int:
             f"no journal cites {args.target!r} at least {args.min} times; subset is empty",
         )
     sub = extract_subgraph(z, subset)
-    target_path = Path(args.output) if args.output else None
-    kind = _detect_format(target_path, args.output_format, default="csv") if target_path else (
-        args.output_format or "csv"
-    )
+    kind = _detect_format(Path(args.output or ""), args.output_format, default="csv")
     _emit(_matrix_text(sub, kind), args.output, f"kept {sub.n} of {z.n} journal(s)")
     return EXIT_OK
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .comparators import MetricVector
 from .engine import TraceTable
-from .matrix import CitationMatrix, nonzero_arrays
+from .matrix import CitationMatrix, from_arcs, nonzero_arrays
 
 log = logging.getLogger(__name__)
 
@@ -112,13 +112,8 @@ def read_pajek(text: str) -> CitationMatrix:
         if content.split()[0].lower() != "*arcs":
             raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
         src, dst, weight = _read_arcs(lines, line_no, n)
-
-    # imported here: a network file always builds CSR, a dense run never does
-    from scipy import sparse
-
-    entries = sparse.coo_array((weight, (src - 1, dst - 1)), shape=(n, n)).tocsr()
     try:
-        return CitationMatrix(labels, entries)
+        return from_arcs(labels, src - 1, dst - 1, weight)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -377,16 +372,14 @@ def csv_cell(text: str) -> str:
 
 
 def _row_cells(z: CitationMatrix) -> Iterator[list[str]]:
-    """Each row's cells as :func:`_format_number` prints them; CSR rows come
-    from their ``indptr`` slice, so no n x n array is built."""
-    if not z.is_sparse:
-        yield from map(_number_cells, z.entries)
-        return
-    csr = z.entries
-    bounds = csr.indptr.tolist()
+    """Each row's cells as :func:`_format_number` prints them, filled from the
+    nonzero entries, so no n x n array is built."""
+    rows, cols, weights = nonzero_arrays(z)
+    bounds = np.searchsorted(rows, np.arange(z.n + 1)).tolist()
+    cols, weights = cols.tolist(), _number_cells(weights)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         cells = ["0"] * z.n
-        for j, cell in zip(csr.indices[lo:hi].tolist(), _number_cells(csr.data[lo:hi])):
+        for j, cell in zip(cols[lo:hi], weights[lo:hi]):
             cells[j] = cell
         yield cells
 

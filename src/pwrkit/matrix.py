@@ -9,6 +9,14 @@ tractable.  All operations are pure: they return new objects and never mutate.
 
 Dense storage runs on numpy alone: ``scipy.sparse`` costs as much start-up as
 numpy itself, so it is imported only when a CSR matrix is built or used.
+
+Storage is decided here, and no result may depend on it: ``entry``, ``==``,
+:func:`transpose` and :func:`extract_subgraph` make one call on either
+storage, and :func:`from_arcs` builds CSR.  Forks stay where one call would
+differ: :func:`nonzero_arrays`, ``to_dense`` and :func:`zero_diagonal` keep
+dense runs free of scipy; ``pagerank``'s walk (broadcasting over CSR gives
+other bits than ``@ diags``), ``citing_cosine_matrix``'s Gram matrix and norms
+(another summation order) and ``citing_threshold_subset``'s row (``toarray()``).
 """
 
 from __future__ import annotations
@@ -41,33 +49,24 @@ def _canonical_entries(values: object, n: int) -> Entries:
     # no object can be a scipy sparse array before scipy.sparse is loaded
     sparse = sys.modules.get("scipy.sparse")
     if sparse is not None and sparse.issparse(values):
-        mat = values.tocsr() if not isinstance(values, sparse.csr_array) else values
-        mat = sparse.csr_array(mat, dtype=np.float64)
-        if mat.shape != (n, n):
-            raise ValueError(f"entries must be {n}x{n}, got {mat.shape}")
-        if mat.nnz and not np.isfinite(mat.data).all():
-            raise ValueError("matrix entries must be finite")
-        if mat.nnz and mat.data.min() < 0.0:
-            raise ValueError("matrix entries must be non-negative")
-        if n <= DENSE_LIMIT:
-            dense = mat.toarray()
-            dense.flags.writeable = False
-            return dense
+        mat = sparse.csr_array(values, dtype=np.float64)
+        weights = mat.data
+    else:
+        mat = weights = np.asarray(values, dtype=np.float64)
+    if mat.shape != (n, n):
+        raise ValueError(f"entries must be {n}x{n}, got {mat.shape}")
+    if not np.isfinite(weights).all():
+        raise ValueError("matrix entries must be finite")
+    if weights.size and weights.min() < 0.0:
+        raise ValueError("matrix entries must be non-negative")
+    if n > DENSE_LIMIT:
+        mat = _sparse().csr_array(mat)
         mat.sum_duplicates()
         mat.sort_indices()
         return mat
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (n, n):
-        raise ValueError(f"entries must be {n}x{n}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    if arr.size and arr.min() < 0.0:
-        raise ValueError("matrix entries must be non-negative")
-    if n > DENSE_LIMIT:
-        return _sparse().csr_array(arr)
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    mat = mat.copy() if isinstance(mat, np.ndarray) else mat.toarray()
+    mat.flags.writeable = False
+    return mat
 
 
 def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
@@ -105,13 +104,9 @@ class CitationMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Entries as a writable dense array copy."""
-        if self.is_sparse:
-            return self.entries.toarray()
-        return np.array(self.entries)
+        return self.entries.toarray() if self.is_sparse else np.array(self.entries)
 
     def entry(self, i: int, j: int) -> float:
-        if self.is_sparse:
-            return float(self.entries[[i], [j]][0])
         return float(self.entries[i, j])
 
     def index_of(self, label: str) -> int:
@@ -123,14 +118,10 @@ class CitationMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationMatrix):
             return NotImplemented
-        if self.labels != other.labels:
-            return False
-        if self.is_sparse or other.is_sparse:
-            sparse = _sparse()
-            a = self.entries if self.is_sparse else sparse.csr_array(self.entries)
-            b = other.entries if other.is_sparse else sparse.csr_array(other.entries)
-            return (a != b).nnz == 0
-        return bool(np.array_equal(self.entries, other.entries))
+        # stored zeros of either sign are not entries, whatever the storage
+        return self.labels == other.labels and all(
+            map(np.array_equal, nonzero_arrays(self), nonzero_arrays(other))
+        )
 
 
 @dataclass(frozen=True)
@@ -170,10 +161,17 @@ class NodeSet:
         return iter(self.indices)
 
 
+def from_arcs(
+    labels: Sequence[str], rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
+) -> CitationMatrix:
+    """The matrix whose entry (i, j) sums the weights of the 0-based arcs from
+    row i to column j; duplicate arcs add up in scipy's ``coo -> csr`` order."""
+    entries = _sparse().coo_array((weights, (rows, cols)), shape=(len(labels),) * 2)
+    return CitationMatrix(labels, entries.tocsr())
+
+
 def transpose(z: CitationMatrix) -> CitationMatrix:
     """Swap the cited and citing roles; labels are preserved."""
-    if z.is_sparse:
-        return CitationMatrix(z.labels, z.entries.T.tocsr())
     return CitationMatrix(z.labels, z.entries.T)
 
 
@@ -182,10 +180,7 @@ def zero_diagonal(z: CitationMatrix) -> CitationMatrix:
     if z.is_sparse:
         coo = z.entries.tocoo()
         keep = coo.row != coo.col
-        cleaned = _sparse().csr_array(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
-        )
-        return CitationMatrix(z.labels, cleaned)
+        return from_arcs(z.labels, coo.row[keep], coo.col[keep], coo.data[keep])
     cleaned = z.to_dense()
     np.fill_diagonal(cleaned, 0.0)
     return CitationMatrix(z.labels, cleaned)
@@ -226,11 +221,7 @@ def extract_subgraph(z: CitationMatrix, nodes: NodeSet | Sequence[int]) -> Citat
     else:
         subset = NodeSet(z.labels, tuple(nodes))
     idx = np.asarray(subset.indices, dtype=np.intp)
-    if z.is_sparse:
-        picked = z.entries[idx][:, idx] if len(idx) else _sparse().csr_array((0, 0))
-    else:
-        picked = z.entries[np.ix_(idx, idx)]
-    return CitationMatrix(subset.labels, picked)
+    return CitationMatrix(subset.labels, z.entries[np.ix_(idx, idx)])
 
 
 def nonzero_arrays(z: CitationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

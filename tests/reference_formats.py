@@ -8,6 +8,10 @@ bulk, and every other section or chunk line by line; the differential tests
 require it to return the same matrix or raise the same message as this reader
 on every input.
 
+``write_csv_matrix`` is the cell-by-cell matrix CSV writer: every cell of the
+dense matrix through ``_format_number``, whichever the storage.  The library
+fills each row from the nonzero entries and must produce the same bytes.
+
 ``write_trace_csv`` is the row-by-row trace writer: one ``csv.writer`` row
 and three ``repr`` calls per (label, k).  The library formats a block of
 labels at a time, column by column, and must produce the same bytes.
@@ -25,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from pwrkit.engine import TraceTable
-from pwrkit.formats import TRACE_HEADER, ParseError
+from pwrkit.formats import TRACE_HEADER, ParseError, _format_number
 from pwrkit.matrix import CitationMatrix
 
 log = logging.getLogger("pwrkit.formats")
@@ -145,4 +149,18 @@ def write_trace_csv(trace: TraceTable) -> str:
             [name, k, repr(p), repr(w), repr(r)]
             for k, p, w, r in zip(ks, powers.tolist(), weaknesses.tolist(), ratios.tolist())
         )
+    return buffer.getvalue()
+
+
+def write_csv_matrix(z: CitationMatrix) -> str:
+    """The matrix CSV writer cell by cell: one ``csv.writer`` row per cited
+    label, every cell of the dense matrix through ``_format_number``."""
+    for name in z.labels:
+        if "\r" in name and not any(c in name for c in ',"\n'):
+            raise ValueError(f"label {name!r} holds a carriage return csv would leave unquoted")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([""] + list(z.labels))
+    for name, row in zip(z.labels, z.to_dense().tolist()):
+        writer.writerow([name] + [_format_number(value) for value in row])
     return buffer.getvalue()

@@ -110,6 +110,43 @@ FROZEN_FIELDED_PWR_DIGESTS = {
     ),
 }
 
+# argv of the commands run on the same seeded 1200-journal networks (CSR
+# storage), from a directory holding fields.net and labels.txt (J1200 down to
+# J0101, so the subset is above DENSE_LIMIT and permuted).
+FIELDED_STORAGE_CASES = {
+    "scc-core-csv": ["scc", "--input", "fields.net", "--largest", "--output", "core.csv"],
+    "scc-core-net": ["scc", "--input", "fields.net", "--largest", "--output", "core.net"],
+    "subset-csv": [
+        "subset", "--input", "fields.net", "--target", "J0001", "--min", "1",
+        "--union-with", "labels.txt", "--output-format", "csv",
+    ],
+    "convert-csv": ["convert", "--input", "fields.net", "--output", "fields.csv"],
+    "compare": ["compare", "--input", "fields.net", "--output", "table.csv"],
+}
+
+# sha256 of each case's exit code, stdout, stderr and output files (see
+# run_digest), keyed by (case, seed); frozen from the release whose matrix
+# operations and matrix CSV writer had a separate route for CSR storage.
+FROZEN_FIELDED_STORAGE_DIGESTS = {
+    ("compare", 0): "99e1f940466d5ae2ae156e96ae9fc868d003521efd110a6891049e3622a95786",
+    ("compare", 1): "861d8cb67f5568a432aa94a3c43c6d1a024c4c199a1a07f186f89c7a46f0b908",
+    ("convert-csv", 0): "90e100c6e29c7e01652d184c4dcb012bd06ef1f5d1a909fb5ca0622b27b3606e",
+    ("convert-csv", 1): "ebe9fa01898899f82067fa4ba02026688b35e40995fa3dcc5a4b871bb80e8656",
+    ("scc-core-csv", 0): "43a2f6fcdc85ecd4cb28e3166d8dfecdaf30c008cbc08c9541b58d17cbf743c3",
+    ("scc-core-csv", 1): "9b503fcbc3fe846927fb3362482cb3c9403f78bd8fdcecd708f50a02d56bcf30",
+    ("scc-core-net", 0): "0df072a5ec26cd833a73fe9fdc539f9ce259a74933e721ae362757e440c7ca73",
+    ("scc-core-net", 1): "ae553c67f8dff52539dfde1e42f2ce3c262913f6e7f0aa885a9a54d887bf323e",
+    ("subset-csv", 0): "5fb1d94efac771bbd92ed959b4ffb7fb2f16809f2e5c682ae7bb78d7aea8a8d6",
+    ("subset-csv", 1): "1cfff868ae2e592646a0e3cbffc9f1f3858cca4e99a0e5d36a5674f9c37d62db",
+}
+
+# The same digests for `convert` of the bundled set to .net and back to .csv
+# with --force, run one after the other; frozen from the same release.
+FROZEN_BUNDLED_ROUND_TRIP_DIGESTS = (
+    "3670fbf4884d10bfecb715ebac75de8a115b9a39e1cf0e9f522181e1d267e504",
+    "0264452e0ccfd4184e5319860058fdc4182fd070477e03e92ff5cd2f1bd34094",
+)
+
 
 def fielded_pajek(n: int, seed: int) -> str:
     """Pajek text: 12 fields, 8 references per journal, 85% of them in field."""
@@ -194,6 +231,37 @@ def test_fielded_csr_pwr_output_matches_frozen_digests(seed, capsys, tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
     assert hashlib.sha256(chart.read_bytes()).hexdigest() == chart_digest
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+
+
+def run_digest(argv: list[str], capsys, workdir) -> str:
+    """sha256 of the exit code, stdout, stderr and every file the run added to
+    ``workdir``, each preceded by its length (and a file by its name)."""
+    before = set(workdir.iterdir())
+    code = main(argv)
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(f"{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode("utf-8"))
+    for path in sorted(set(workdir.iterdir()) - before):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\n{len(data)}\n".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(("case", "seed"), sorted(FROZEN_FIELDED_STORAGE_DIGESTS))
+def test_fielded_csr_commands_match_frozen_digests(case, seed, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fields.net").write_text(fielded_pajek(1200, seed), encoding="utf-8")
+    labels = "".join(f"J{v:04d}\n" for v in range(1200, 100, -1))
+    (tmp_path / "labels.txt").write_text(labels, encoding="utf-8")
+    digest = run_digest(FIELDED_STORAGE_CASES[case], capsys, tmp_path)
+    assert digest == FROZEN_FIELDED_STORAGE_DIGESTS[(case, seed)]
+
+
+def test_bundled_convert_round_trip_matches_frozen_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    to_net = ["convert", "--input", FIXTURE, "--output", "m.net"]
+    back = ["convert", "--input", "m.net", "--output", "back.csv", "--force"]
+    digests = (run_digest(to_net, capsys, tmp_path), run_digest(back, capsys, tmp_path))
+    assert digests == FROZEN_BUNDLED_ROUND_TRIP_DIGESTS
 
 
 class TestPwrCommand:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from pwrkit import (
 from pwrkit import matrix
 from pwrkit.matrix import nonzero_arrays
 
+from . import reference_formats
 from .conftest import build
 
 
@@ -234,6 +237,13 @@ def citation_matrices(draw, max_n: int = 6):
 @given(citation_matrices())
 def test_transpose_is_an_involution(z):
     assert transpose(transpose(z)) == z
+    csr = stored_as_csr(z)
+    with csr_storage():
+        once, twice = transpose(csr), transpose(transpose(csr))
+    assert once.is_sparse and twice.is_sparse
+    assert once == transpose(z)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(twice.entries, attr), getattr(csr.entries, attr))
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,11 +276,30 @@ def edge_weight_matrices(draw, max_n: int = 6):
     return CitationMatrix(labels, np.asarray(cells, dtype=np.float64).reshape(n, n))
 
 
-def stored_as_csr(z: CitationMatrix) -> CitationMatrix:
-    """The same matrix held in CSR storage, as a matrix above DENSE_LIMIT is."""
+@contextlib.contextmanager
+def csr_storage():
+    """Every matrix built in the block is held in CSR storage, as one above
+    DENSE_LIMIT is."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix, "DENSE_LIMIT", -1)
+        yield
+
+
+def stored_as_csr(z: CitationMatrix) -> CitationMatrix:
+    """The same matrix held in CSR storage, as a matrix above DENSE_LIMIT is."""
+    with csr_storage():
         return CitationMatrix(z.labels, sparse.csr_array(z.entries))
+
+
+def stored_cell_by_cell(z: CitationMatrix) -> CitationMatrix:
+    """The same matrix in CSR storage with every cell stored, so its zeros of
+    either sign are explicit entries."""
+    rows, cols = np.indices((z.n, z.n)).reshape(2, -1)
+    coo = sparse.coo_array((z.to_dense().ravel(), (rows, cols)), shape=(z.n, z.n))
+    with csr_storage():
+        full = CitationMatrix(z.labels, coo.tocsr())
+    assert full.entries.nnz == z.n * z.n
+    return full
 
 
 @settings(max_examples=120, deadline=None)
@@ -292,6 +321,49 @@ def test_dense_nonzero_arrays_match_the_coo_route(z):
 @settings(max_examples=120, deadline=None)
 @given(edge_weight_matrices())
 def test_writers_emit_the_same_bytes_for_dense_and_csr_storage(z):
+    expected = reference_formats.write_csv_matrix(z)
+    assert write_csv_matrix(z) == expected
+    for csr in (stored_as_csr(z), stored_cell_by_cell(z)):
+        assert write_pajek(csr) == write_pajek(z)
+        assert write_csv_matrix(csr) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_weight_matrices())
+def test_entry_reads_every_cell_on_both_storages(z):
+    for m in (z, stored_as_csr(z), stored_cell_by_cell(z)):
+        cells = [m.entry(i, j) for i, j in np.ndindex(z.n, z.n)]
+        assert all(type(cell) is float for cell in cells)
+        assert cells == m.to_dense().ravel().tolist()
+        assert cells == z.to_dense().ravel().tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_weight_matrices(), st.data())
+def test_equality_holds_across_storages_and_one_cell_breaks_it(z, data):
+    csr, full = stored_as_csr(z), stored_cell_by_cell(z)
+    assert z == csr == full == z
+    if not z.n:
+        return
+    i, j = data.draw(st.tuples(st.integers(0, z.n - 1), st.integers(0, z.n - 1)))
+    changed = z.to_dense()
+    changed[i, j] = 1.0 if changed[i, j] != 1.0 else 2.0
+    other = CitationMatrix(z.labels, changed)
+    for a in (z, csr, full):
+        for b in (other, stored_as_csr(other), stored_cell_by_cell(other)):
+            assert a != b and b != a
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_weight_matrices(), st.data())
+def test_extract_subgraph_gives_equal_matrices_on_both_storages(z, data):
+    order = data.draw(st.permutations(range(z.n)))
+    size = data.draw(st.integers(0, z.n))
     csr = stored_as_csr(z)
-    assert write_pajek(csr) == write_pajek(z)
-    assert write_csv_matrix(csr) == write_csv_matrix(z)
+    for idx in ([], order[:size], order, list(range(z.n))):
+        sub = extract_subgraph(z, idx)
+        with csr_storage():
+            sub_csr = extract_subgraph(csr, idx)
+        assert sub_csr.is_sparse and sub_csr.labels == sub.labels
+        assert sub_csr == sub
+        assert sub_csr.to_dense().tolist() == z.to_dense()[np.ix_(idx, idx)].tolist()

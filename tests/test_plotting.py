@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
+import numpy as np
 import pytest
 
-from pwrkit import ContractError, PwrOptions, pwr_trace, render_convergence_svg
+from pwrkit import ContractError, PwrOptions, TraceTable, pwr_trace, render_convergence_svg
 
 from .conftest import build
 
@@ -108,3 +112,49 @@ def test_fixture_chart_is_stable(journals):
     first = render_convergence_svg(trace)
     assert first.count("<polyline") == 7
     assert first == render_convergence_svg(trace)
+
+
+@contextlib.contextmanager
+def within_seconds(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def two_by_two(ratios: list[list[float]]) -> TraceTable:
+    r = np.array(ratios, dtype=np.float64)
+    return TraceTable(("A", "B"), np.ones_like(r), np.ones_like(r), r)
+
+
+def test_ratios_a_few_ulps_apart_far_from_zero_still_render():
+    # the tick step is under half an ulp of the first tick, so adding it
+    # leaves the tick where it was; the axis keeps that one tick
+    trace = two_by_two([[1e20, np.nextafter(1e20, np.inf)], [1e20, 1e20]])
+    with within_seconds(10):
+        svg = render_convergence_svg(trace)
+    assert svg.count("<polyline") == 2
+    assert svg.count('text-anchor="end"') == 1
+
+
+@pytest.mark.parametrize("top", [5e-324, 2.5e-323])
+def test_subnormal_ratio_span_raises_contract_error(top):
+    # a fifth of the span, or its power of ten, underflows to zero
+    trace = two_by_two([[-0.0, top], [-0.0, top]])
+    with within_seconds(10), pytest.raises(ContractError, match="too close together"):
+        render_convergence_svg(trace)
+
+
+def test_equal_ratios_past_the_widening_raise_contract_error():
+    # 1e20 +- 0.5 rounds back to 1e20, so the flat scale has no height
+    trace = two_by_two([[1e20, 1e20], [1e20, 1e20]])
+    with within_seconds(10), pytest.raises(ContractError, match="too close together"):
+        render_convergence_svg(trace)
