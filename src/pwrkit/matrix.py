@@ -10,13 +10,19 @@ tractable.  All operations are pure: they return new objects and never mutate.
 Dense storage runs on numpy alone: ``scipy.sparse`` costs as much start-up as
 numpy itself, so it is imported only when a CSR matrix is built or used.
 
-Storage is decided here, and no result may depend on it: ``entry``, ``==``,
-:func:`transpose` and :func:`extract_subgraph` make one call on either
-storage, and :func:`from_arcs` builds CSR.  Forks stay where one call would
-differ: :func:`nonzero_arrays`, ``to_dense`` and :func:`zero_diagonal` keep
-dense runs free of scipy; ``pagerank``'s walk (broadcasting over CSR gives
-other bits than ``@ diags``), ``citing_cosine_matrix``'s Gram matrix and norms
-(another summation order) and ``citing_threshold_subset``'s row (``toarray()``).
+Storage is decided here.  ``entry``, ``==``, :func:`transpose`,
+:func:`extract_subgraph`, :func:`zero_diagonal`, both matrix writers and, on
+integer weights, ``citation_factor`` give the same bits on either storage.
+``pwr_trace``, ``pagerank`` and ``hits`` do not: dense ``@`` runs through
+BLAS, whose summation order CSR does not reproduce, so their results differ
+in the last bits with the side of :data:`DENSE_LIMIT` a matrix falls on.
+``entry``, ``==``, :func:`transpose` and :func:`extract_subgraph` make one
+call on either storage, and :func:`from_arcs` builds CSR.  Forks stay where
+one call would differ: :func:`nonzero_arrays`, ``to_dense`` and
+:func:`zero_diagonal` keep dense runs free of scipy; ``pagerank``'s walk
+(broadcasting over CSR gives other bits than ``@ diags``),
+``citing_cosine_matrix``'s Gram matrix and norms (another summation order)
+and ``citing_threshold_subset``'s row (``toarray()``).
 """
 
 from __future__ import annotations
@@ -61,8 +67,10 @@ def _canonical_entries(values: object, n: int) -> Entries:
         raise ValueError("matrix entries must be non-negative")
     if n > DENSE_LIMIT:
         mat = _sparse().csr_array(mat)
-        mat.sum_duplicates()
-        mat.sort_indices()
+        if not mat.has_canonical_format:
+            # a caller's CSR shares its arrays with mat: sum a copy, in order
+            mat = mat.copy()
+            mat.sum_duplicates()
         return mat
     mat = mat.copy() if isinstance(mat, np.ndarray) else mat.toarray()
     mat.flags.writeable = False

@@ -91,7 +91,7 @@ def render_convergence_svg(trace: TraceTable, width: int = 820, height: int = 42
         )
     step = _tick_step(y_max - y_min)
     tick = math.ceil(y_min / step) * step
-    while tick <= y_max + 1e-12:
+    while tick <= y_max + min(1e-12, step / 2):
         y = y_of(tick)
         label = f"{round(tick, 10):g}"
         parts.append(

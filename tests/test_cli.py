@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
+import shutil
 import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,114 +41,6 @@ from pwrkit import (
 from pwrkit.cli import main
 
 FIXTURE = str(data_path("jasist_plus.csv"))
-
-# sha256 of `pwr` standard output and of the --plot chart on the bundled set,
-# frozen from the release before traces became (k_max, n) arrays; the chart
-# needs k_max >= 2, so the k_max = 1 cases have none.
-FROZEN_PWR_DIGESTS = {
-    ("include", "1"): ("cfc55d39b74358483e222a21b4034c3c1a54beeae5430809cd6c02b11a9a9991", None),
-    ("exclude", "1"): ("188a5062420c482c5bbea560fe12014c5d20ad94c5e8f2725a908f69abc21403", None),
-    ("include", "20"): (
-        "9b761b464e1d724986d764630d7d10f95729688e4a3e4742438b2b6d2208bbcb",
-        "a0621ef6882901da64d6b7afa2fd522e857614bab1e6aaec84a5c690bde86521",
-    ),
-    ("exclude", "20"): (
-        "882b336b4bd529a73295dc106e8029de73a1878a074cd21d72afb024232274e3",
-        "5f9d7b1da5cea38593b8676a1d88e28d3b2489f6cd31eb77eaaa3f2718fabc6a",
-    ),
-}
-
-# sha256 of `decompose` standard output and standard error on the bundled
-# set, keyed by (--cosine-diagonal, --cosine-threshold, --resolution) and
-# frozen from the release whose Louvain visited narrow rows in plain Python;
-# they pin the exact partition and the repr of Q.
-FROZEN_DECOMPOSE_DIGESTS = {
-    ("include", "0.01", "1"): (
-        "9dba988607d2620a3dd0f5ce87fcbf6f99b26f4089db306eb5eca826e311e2cf",
-        "a55ab46871bb653031849994e1718d8025876a98aa644691258314ee474cee57",
-    ),
-    ("include", "0.2", "1.5"): (
-        "4f7a0dd43aa209252e017d8e0c06866aaee4882fdf539f43aa2112abc43b7e9f",
-        "69d718f5f94ec8a99c0d9f50654fd44950c33a64ebaf7997854cc484a5f1d8f4",
-    ),
-    ("exclude", "0.01", "1"): (
-        "8202e15d723d74c08753112783354860e30d61a466c61fc925adf3b5ed1fc9f6",
-        "d0306fc45555c9d5f91eaf1b0f1f5b5f58293ad64b5e5d7789432d5b8cd41747",
-    ),
-    ("exclude", "0.2", "1.5"): (
-        "7b896fb079e365234d58ec2dbf76037309339c5a64db236bd5acb2f2bc651991",
-        "0b822daa9c4ef19cbc99070dfe965bd45ed4b5804b5cd158cc65421ae4bec0d1",
-    ),
-}
-
-# sha256 of `decompose --output` standard output and partition CSV on a
-# seeded field-structured network of 1200 journals, keyed by seed.  n is
-# above DENSE_LIMIT, so the matrix is CSR; frozen from the release whose
-# Louvain built its adjacency with int64 keys and stable int64 sorts.
-FROZEN_FIELDED_DECOMPOSE_DIGESTS = {
-    0: (
-        "79206cb03d6d0b1fd60674b4a633cbb0411713aa0a41786ea2b6e458782b9753",
-        "098afb52ba62f014e2582a34ac6bc18b62d42dd60b9d43478a182d543f535292",
-    ),
-    1: (
-        "692e9d4413302ed879b9d44c1733717d0e447f54b4d7f9c8ffb8692be0c0fd6e",
-        "95b6ea1f01db2590faab9746a76b5fb6d077fb3d1730231225be32a6393d70a2",
-    ),
-}
-
-# sha256 of `pwr --plot chart.svg --output trace.csv` standard output, chart
-# and trace CSV on the same seeded 1200-journal networks (CSR storage), keyed
-# by seed; frozen from the release whose writers formatted one row and one
-# chart point at a time.
-FROZEN_FIELDED_PWR_DIGESTS = {
-    0: (
-        "332f54808e4f913be0f30579a53c6bd2ff4b5061c12e8ffda24ca6620148ccd1",
-        "b1326623feed91062891b07c27f2fd3c6b34a1de4052d8c36979fa560efa7337",
-        "66be5d2a01f48f00479ec429efc3cc8713da22ab5fd24da7c3e6c25cc7484e46",
-    ),
-    1: (
-        "55884d8ee37895ef25ee6a7dc3b467e458e3cf8fc4ba75b60013f723ec201634",
-        "e02e55d2a0100d39c0deb146a2c694a26d1e715690f9dabfa78b9c83defa9bac",
-        "fd03e6ae1671f9ac8cae60671391c53c29dc72b8fe52718c78143e6222e2846a",
-    ),
-}
-
-# argv of the commands run on the same seeded 1200-journal networks (CSR
-# storage), from a directory holding fields.net and labels.txt (J1200 down to
-# J0101, so the subset is above DENSE_LIMIT and permuted).
-FIELDED_STORAGE_CASES = {
-    "scc-core-csv": ["scc", "--input", "fields.net", "--largest", "--output", "core.csv"],
-    "scc-core-net": ["scc", "--input", "fields.net", "--largest", "--output", "core.net"],
-    "subset-csv": [
-        "subset", "--input", "fields.net", "--target", "J0001", "--min", "1",
-        "--union-with", "labels.txt", "--output-format", "csv",
-    ],
-    "convert-csv": ["convert", "--input", "fields.net", "--output", "fields.csv"],
-    "compare": ["compare", "--input", "fields.net", "--output", "table.csv"],
-}
-
-# sha256 of each case's exit code, stdout, stderr and output files (see
-# run_digest), keyed by (case, seed); frozen from the release whose matrix
-# operations and matrix CSV writer had a separate route for CSR storage.
-FROZEN_FIELDED_STORAGE_DIGESTS = {
-    ("compare", 0): "99e1f940466d5ae2ae156e96ae9fc868d003521efd110a6891049e3622a95786",
-    ("compare", 1): "861d8cb67f5568a432aa94a3c43c6d1a024c4c199a1a07f186f89c7a46f0b908",
-    ("convert-csv", 0): "90e100c6e29c7e01652d184c4dcb012bd06ef1f5d1a909fb5ca0622b27b3606e",
-    ("convert-csv", 1): "ebe9fa01898899f82067fa4ba02026688b35e40995fa3dcc5a4b871bb80e8656",
-    ("scc-core-csv", 0): "43a2f6fcdc85ecd4cb28e3166d8dfecdaf30c008cbc08c9541b58d17cbf743c3",
-    ("scc-core-csv", 1): "9b503fcbc3fe846927fb3362482cb3c9403f78bd8fdcecd708f50a02d56bcf30",
-    ("scc-core-net", 0): "0df072a5ec26cd833a73fe9fdc539f9ce259a74933e721ae362757e440c7ca73",
-    ("scc-core-net", 1): "ae553c67f8dff52539dfde1e42f2ce3c262913f6e7f0aa885a9a54d887bf323e",
-    ("subset-csv", 0): "5fb1d94efac771bbd92ed959b4ffb7fb2f16809f2e5c682ae7bb78d7aea8a8d6",
-    ("subset-csv", 1): "1cfff868ae2e592646a0e3cbffc9f1f3858cca4e99a0e5d36a5674f9c37d62db",
-}
-
-# The same digests for `convert` of the bundled set to .net and back to .csv
-# with --force, run one after the other; frozen from the same release.
-FROZEN_BUNDLED_ROUND_TRIP_DIGESTS = (
-    "3670fbf4884d10bfecb715ebac75de8a115b9a39e1cf0e9f522181e1d267e504",
-    "0264452e0ccfd4184e5319860058fdc4182fd070477e03e92ff5cd2f1bd34094",
-)
 
 
 def fielded_pajek(n: int, seed: int) -> str:
@@ -182,57 +77,6 @@ def _csv_file(tmp_path, text: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize(("self_citations", "k_max"), sorted(FROZEN_PWR_DIGESTS))
-def test_bundled_pwr_output_matches_frozen_digests(self_citations, k_max, capsys, tmp_path):
-    stdout_digest, chart_digest = FROZEN_PWR_DIGESTS[(self_citations, k_max)]
-    argv = ["pwr", "--input", FIXTURE, "--self-citations", self_citations, "--k-max", k_max]
-    chart = tmp_path / "chart.svg"
-    if chart_digest:
-        argv += ["--plot", str(chart)]
-    assert main(argv) == 0
-    out, _err = capsys.readouterr()
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
-    if chart_digest:
-        assert hashlib.sha256(chart.read_bytes()).hexdigest() == chart_digest
-
-
-@pytest.mark.parametrize(("diagonal", "threshold", "resolution"), sorted(FROZEN_DECOMPOSE_DIGESTS))
-def test_bundled_decompose_output_matches_frozen_digests(diagonal, threshold, resolution, capsys):
-    stdout_digest, stderr_digest = FROZEN_DECOMPOSE_DIGESTS[(diagonal, threshold, resolution)]
-    argv = ["decompose", "--input", FIXTURE, "--cosine-diagonal", diagonal]
-    argv += ["--cosine-threshold", threshold, "--resolution", resolution]
-    assert main(argv) == 0
-    out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
-    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == stderr_digest
-
-
-@pytest.mark.parametrize("seed", sorted(FROZEN_FIELDED_DECOMPOSE_DIGESTS))
-def test_fielded_csr_decompose_output_matches_frozen_digests(seed, capsys, tmp_path):
-    stdout_digest, partition_digest = FROZEN_FIELDED_DECOMPOSE_DIGESTS[seed]
-    net = tmp_path / "fields.net"
-    net.write_text(fielded_pajek(1200, seed), encoding="utf-8")
-    partition = tmp_path / "partition.csv"
-    assert main(["decompose", "--input", str(net), "--output", str(partition)]) == 0
-    out, _err = capsys.readouterr()
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
-    assert hashlib.sha256(partition.read_bytes()).hexdigest() == partition_digest
-
-
-@pytest.mark.parametrize("seed", sorted(FROZEN_FIELDED_PWR_DIGESTS))
-def test_fielded_csr_pwr_output_matches_frozen_digests(seed, capsys, tmp_path):
-    stdout_digest, chart_digest, trace_digest = FROZEN_FIELDED_PWR_DIGESTS[seed]
-    net = tmp_path / "fields.net"
-    net.write_text(fielded_pajek(1200, seed), encoding="utf-8")
-    chart, trace = tmp_path / "chart.svg", tmp_path / "trace.csv"
-    argv = ["pwr", "--input", str(net), "--plot", str(chart), "--output", str(trace)]
-    assert main(argv) == 0
-    out, _err = capsys.readouterr()
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
-    assert hashlib.sha256(chart.read_bytes()).hexdigest() == chart_digest
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
-
-
 def run_digest(argv: list[str], capsys, workdir) -> str:
     """sha256 of the exit code, stdout, stderr and every file the run added to
     ``workdir``, each preceded by its length (and a file by its name)."""
@@ -246,22 +90,43 @@ def run_digest(argv: list[str], capsys, workdir) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize(("case", "seed"), sorted(FROZEN_FIELDED_STORAGE_DIGESTS))
-def test_fielded_csr_commands_match_frozen_digests(case, seed, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "fields.net").write_text(fielded_pajek(1200, seed), encoding="utf-8")
-    labels = "".join(f"J{v:04d}\n" for v in range(1200, 100, -1))
-    (tmp_path / "labels.txt").write_text(labels, encoding="utf-8")
-    digest = run_digest(FIELDED_STORAGE_CASES[case], capsys, tmp_path)
-    assert digest == FROZEN_FIELDED_STORAGE_DIGESTS[(case, seed)]
+def load_cli_corpus() -> list[dict]:
+    """The cases of ``cli_corpus.json``, the frozen CLI corpus.
+
+    Each case names an input recipe and a list of argv steps run in order in
+    one directory, each step with the :func:`run_digest` it must give; the
+    digests were frozen from the release whose tests kept six hand-made digest
+    tables, and passed those tables' tests on the same tree.  An intended
+    output change regenerates only the digests it affects, and the CHANGES.md
+    entry of that change names each one and says why; no digest is
+    regenerated wholesale.
+    """
+    return json.loads(Path(__file__).with_name("cli_corpus.json").read_text(encoding="utf-8"))
 
 
-def test_bundled_convert_round_trip_matches_frozen_digests(capsys, tmp_path, monkeypatch):
+def lay_out_input(recipe: dict, workdir: Path) -> None:
+    """Write a case's input files: copies of bundled files, ``fields.net``
+    from :func:`fielded_pajek`, and ``labels.txt`` holding J<first> down to
+    J<last>, one label a line."""
+    for name in recipe.get("bundled", ()):
+        shutil.copyfile(data_path(name), workdir / name)
+    if "fielded_pajek" in recipe:
+        text = fielded_pajek(**recipe["fielded_pajek"])
+        (workdir / "fields.net").write_text(text, encoding="utf-8")
+    if "labels_descending" in recipe:
+        first, last = recipe["labels_descending"]
+        labels = "".join(f"J{v:04d}\n" for v in range(first, last - 1, -1))
+        (workdir / "labels.txt").write_text(labels, encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", load_cli_corpus(), ids=lambda case: case["id"])
+def test_cli_corpus_case_matches_its_frozen_digests(case, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    to_net = ["convert", "--input", FIXTURE, "--output", "m.net"]
-    back = ["convert", "--input", "m.net", "--output", "back.csv", "--force"]
-    digests = (run_digest(to_net, capsys, tmp_path), run_digest(back, capsys, tmp_path))
-    assert digests == FROZEN_BUNDLED_ROUND_TRIP_DIGESTS
+    lay_out_input(case["input"], tmp_path)
+    for number, step in enumerate(case["steps"], 1):
+        digest = run_digest(step["argv"], capsys, tmp_path)
+        where = f"{case['id']} step {number} ({' '.join(step['argv'])})"
+        assert digest == step["run_digest"], f"{where} gave run_digest {digest}"
 
 
 class TestPwrCommand:
@@ -922,9 +787,8 @@ def test_resolution_at_end_of_double_range_prints_no_numpy_warning(diagonal, rep
         warnings.simplefilter("error")
         assert main([*argv, "--resolution", "1e308"]) == 0
     out, err = capsys.readouterr()
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "c1875df3bcad67507c3026c4c31f10ccfad22d4bd8c749e0ca9237943ad9cf01"
-    )
+    singletons = (f"{label},{i}\n" for i, label in enumerate(jasist_plus_matrix().labels))
+    assert out == "label,community\n" + "".join(singletons)
     assert err == report
 
 

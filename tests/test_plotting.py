@@ -10,6 +10,7 @@ import pytest
 
 from pwrkit import ContractError, PwrOptions, TraceTable, pwr_trace, render_convergence_svg
 
+from . import reference_plotting
 from .conftest import build
 
 
@@ -143,6 +144,17 @@ def test_ratios_a_few_ulps_apart_far_from_zero_still_render():
         svg = render_convergence_svg(trace)
     assert svg.count("<polyline") == 2
     assert svg.count('text-anchor="end"') == 1
+
+
+def test_ratios_far_closer_than_1e_12_stop_at_the_last_tick():
+    # the tick loop's slack past y_max is half a step at most, so a step of
+    # 5e-301 draws the three ticks of the plot, not every step up to 1e-12
+    trace = two_by_two([[1e-300, 2e-300], [1e-300, 2e-300]])
+    with within_seconds(10):
+        svg = render_convergence_svg(trace)
+        assert svg == reference_plotting.render_convergence_svg(trace)
+    assert svg.count("<polyline") == 2
+    assert svg.count('text-anchor="end"') == 3
 
 
 @pytest.mark.parametrize("top", [5e-324, 2.5e-323])
