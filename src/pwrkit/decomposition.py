@@ -7,20 +7,30 @@ community aggregation, after Blondel et al., arXiv:0803.0476).  Ego-style
 subsets defined by a citation threshold on one target journal complement the
 clustering route.
 
-No step allocates or loops over all n^2 pairs; time and memory follow the
-citation arcs and the pairs with nonzero similarity.  The Gram matrix Z^T Z
-is formed on the matrix's own storage (one BLAS call for dense matrices, a
-sparse product for CSR), only its nonzero strict upper triangle is stored,
-the threshold graph is three arrays, and the modularity optimizer works on
-CSR adjacency arrays.  Citation counts are integers, so the Gram entries,
-and hence the similarities, are exact on either storage.
+No step allocates or loops over all n^2 pairs, and no stage holds a
+temporary much larger than the result it builds: time and memory follow the
+citation arcs and the pairs with nonzero similarity.  From the cosine step to
+the clustering, node ids are held in the narrowest unsigned dtype that holds
+n (uint16 up to 65,536 nodes, which numpy's stable sort orders by radix) and
+only weights are float64, so with uint16 ids a similarity pair or an edge
+takes 12 bytes.
 
-Those CSR arrays are built and collapsed in time and memory linear in the
-directed entries (n loops plus both ends of every edge).  Node ids and
-sort keys are held in the narrowest unsigned dtype that fits (uint16 up to
-65,536 nodes, which numpy's stable sort orders by radix), and only the
-weights are float64; they are summed in the same order as ever, so
-partitions and Q do not depend on these choices.
+- The cosine step forms the Gram matrix Z^T Z on the matrix's own storage:
+  one BLAS call for a dense matrix; for CSR, a block of rows (about
+  ``_CHUNK`` products) at a time, each block cut to its positive strict
+  upper triangle as it is made.  The dots become similarities in place.
+- The threshold graph keeps the pairs above tau and checks them a
+  ``_CHUNK`` at a time.
+- The modularity optimizer works on CSR adjacency arrays, 10 bytes per
+  directed entry (n loops plus both ends of every edge), placed a chunk of
+  edges at a time and collapsed a block of rows at a time; modularity
+  accumulates a chunk of edges at a time.
+
+Every float sum runs in the order the one-shot forms used: a Gram row over
+its products in row order, degrees, internal and collapsed weights in edge or
+scan order from 0.0.  So the similarities, partitions and Q do not depend on
+the block and chunk sizes.  Citation counts are integers, so the Gram
+entries, and hence the similarities, are exact on either storage.
 """
 
 from __future__ import annotations
@@ -34,13 +44,14 @@ from functools import cached_property
 import numpy as np
 
 from .engine import SelfCitations
-from .matrix import CitationMatrix, NodeSet, zero_diagonal
+from .matrix import CitationMatrix, Entries, NodeSet, zero_diagonal
 
 # Gains closer than this are treated as equal so float noise cannot flip
 # deterministic tie-breaks.
 _GAIN_EPS = 1e-12
 
-# At most this many array elements are held as Python objects at a time.
+# At most this many array elements are held as Python objects at a time; the
+# array stages work this many edges, entries or Gram products at a time.
 _CHUNK = 1 << 16
 
 
@@ -157,31 +168,67 @@ def _edge_arrays(edges: Iterable[tuple[int, int, float]]) -> EdgeList:
     return EdgeList(_index_array(i), _index_array(j), np.array(w, dtype=np.float64))
 
 
+def _pair_keys(low: np.ndarray, high: np.ndarray, n: int) -> np.ndarray:
+    """``low * n + high`` in the narrowest unsigned dtype holding n^2 keys."""
+    key = low.astype(_node_dtype(n * n))
+    key *= n
+    key += high
+    return key
+
+
 def _validated(edges: EdgeList, n: int) -> EdgeList:
-    """Edges with i < j; otherwise the error for the first bad edge in input order."""
+    """Edges with i < j as ``_node_dtype(n)`` ids; otherwise the error for the
+    first bad edge in input order.
+
+    Edges are checked a ``_CHUNK`` at a time, up to the first one that is out
+    of range, a self-loop or not of positive finite weight.  A duplicate is
+    reported at its later occurrence, and keys ``low * n + high`` that rise
+    strictly hold none, so keys are sorted only when they fail to rise, and
+    only up to that first bad edge.
+    """
     i, j, w = edges.i, edges.j, edges.w
-    low, high = np.minimum(i, j), np.maximum(i, j)
-    out_of_range = (low < 0) | (high >= n)
-    self_loop = i == j
-    key = low * n + high
-    duplicate = np.zeros(len(key), dtype=bool)
-    if len(key) > 1 and not (key[1:] > key[:-1]).all():
+    low = np.zeros(len(w), dtype=_node_dtype(n))
+    high = np.zeros_like(low)
+    rising, last, bad_at = True, None, None
+    for start in range(0, len(w), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        ci, cj, cw = i[part], j[part], w[part]
+        lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
+        out_of_range = (lo < 0) | (hi >= n)
+        bad = out_of_range | (ci == cj) | (cw <= 0.0) | ~np.isfinite(cw)
+        first_bad = int(np.argmax(bad)) if bad.any() else None
+        stop = len(cw) if first_bad is None else first_bad + 1
+        # ids out of range do not fit the narrow dtype; their edge is the last
+        # one checked and is reported as out of range whatever its key
+        checked = slice(start, start + stop)
+        low[checked] = np.where(out_of_range, 0, lo)[:stop]
+        high[checked] = np.where(out_of_range, 0, hi)[:stop]
+        key = _pair_keys(low[checked], high[checked], n)
+        rising = rising and (last is None or key[0] > last) and bool((key[1:] > key[:-1]).all())
+        last = key[-1]
+        if first_bad is not None:
+            bad_at = start + first_bad
+            break
+    duplicate_at = None
+    if not rising:
+        end = len(w) if bad_at is None else bad_at + 1
+        key = _pair_keys(low[:end], high[:end], n)
         order = np.argsort(key, kind="stable")
         ordered = key[order]
-        duplicate[order[1:][ordered[1:] == ordered[:-1]]] = True
-    bad_weight = (w <= 0.0) | ~np.isfinite(w)
-    bad = out_of_range | self_loop | duplicate | bad_weight
-    if bad.any():
-        k = int(np.argmax(bad))
-        a, b = int(low[k]), int(high[k])
-        if out_of_range[k]:
-            raise ValueError(f"edge ({int(i[k])}, {int(j[k])}) out of range for {n} nodes")
-        if self_loop[k]:
-            raise ValueError(f"self-loop on node {a} is not supported")
-        if duplicate[k]:
-            raise ValueError(f"duplicate edge ({a}, {b})")
-        raise ValueError(f"edge ({a}, {b}) must have positive finite weight")
-    return EdgeList(low.astype(np.intp, copy=False), high.astype(np.intp, copy=False), w)
+        repeats = order[1:][ordered[1:] == ordered[:-1]]
+        duplicate_at = int(repeats.min()) if len(repeats) else None
+    if bad_at is None and duplicate_at is None:
+        return EdgeList(low, high, w)
+    k = min(at for at in (bad_at, duplicate_at) if at is not None)
+    a, b = int(i[k]), int(j[k])
+    lo, hi = min(a, b), max(a, b)
+    if lo < 0 or hi >= n:
+        raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
+    if a == b:
+        raise ValueError(f"self-loop on node {lo} is not supported")
+    if k == duplicate_at:
+        raise ValueError(f"duplicate edge ({lo}, {hi})")
+    raise ValueError(f"edge ({lo}, {hi}) must have positive finite weight")
 
 
 @dataclass(frozen=True)
@@ -189,7 +236,8 @@ class UndirectedGraph:
     """Weighted undirected graph as an edge list with i < j and w > 0.
 
     ``edges`` accepts any iterable of ``(i, j, w)`` triples and is stored as
-    an :class:`EdgeList` over three arrays.
+    an :class:`EdgeList` over three arrays: the ids in the narrowest unsigned
+    dtype that holds n nodes (:func:`_node_dtype`), the weights as given.
     """
 
     labels: tuple[str, ...]
@@ -252,22 +300,66 @@ def citing_cosine_matrix(
     # SimilarityMatrix refuses, so numpy need not warn about them as well
     with np.errstate(over="ignore", invalid="ignore"):
         if mat.is_sparse:
-            gram = (entries.T @ entries).tocsr()
-            gram.sort_indices()
-            norms = np.sqrt(gram.diagonal())
-            rows = np.repeat(np.arange(mat.n), np.diff(gram.indptr))
-            keep = (gram.indices > rows) & (gram.data > 0.0)
-            rows, cols, dots = rows[keep], gram.indices[keep], gram.data[keep]
+            rows, cols, sims, norms = _upper_gram(entries)
         else:
             gram = entries.T @ entries
             norms = np.sqrt((entries * entries).sum(axis=0))
             rows, cols = np.nonzero(np.triu(gram, k=1))
-            dots = gram[rows, cols]
-        denom = norms[rows] * norms[cols]
-        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+            sims = gram[rows, cols]
+            rows, cols = rows.astype(_node_dtype(mat.n)), cols.astype(_node_dtype(mat.n))
+        # the dots become similarities in place
+        for start in range(0, len(sims), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            denom = norms[rows[part]] * norms[cols[part]]
+            positive = denom > 0.0
+            np.divide(sims[part], denom, out=sims[part], where=positive)
+            sims[part][~positive] = 0.0
     np.clip(sims, 0.0, 1.0, out=sims)
     diag = np.where(norms > 0.0, 1.0, 0.0)
     return SimilarityMatrix._from_pairs(z.labels, EdgeList(rows, cols, sims), diag)
+
+
+def _row_blocks(indptr: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``[a, b)`` covering every row, each holding
+    ``budget`` entries or fewer plus its last row, by the cumulative counts
+    in ``indptr``."""
+    cuts = np.searchsorted(indptr, np.arange(budget, indptr[-1], budget)).tolist()
+    bounds = sorted({0, *cuts, len(indptr) - 1})
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _upper_gram(entries: Entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and dots of the positive strict upper triangle of the
+    CSR Gram matrix Z^T Z in row-major order, and the column norms.
+
+    The Gram matrix is formed a block of rows at a time, as row slices of
+    ``entries.T.tocsr()`` times ``entries``, and each block is cut to its
+    upper triangle as it is made.  A block makes about ``_CHUNK``
+    products; each of its rows sums them in the order the one-shot
+    ``entries.T @ entries`` does, so every dot and norm has the same bits.
+    """
+    n = entries.shape[0]
+    dtype = _node_dtype(n)
+    by_column = entries.T.tocsr()
+    # products made by each row of the transpose: the entries of the rows it reaches
+    products = np.zeros(by_column.nnz + 1, dtype=np.int64)
+    np.cumsum(np.diff(entries.indptr)[by_column.indices], out=products[1:])
+    norms = np.zeros(n)
+    rows, cols, dots = [], [], []
+    for a, b in _row_blocks(products[by_column.indptr], _CHUNK):
+        gram = by_column[a:b] @ entries
+        norms[a:b] = gram.diagonal(a)
+        row = np.repeat(np.arange(a, b, dtype=dtype), np.diff(gram.indptr))
+        keep = (gram.indices > row) & (gram.data > 0.0)
+        row, col = row[keep], gram.indices[keep]
+        # the product leaves each row's columns unsorted; only kept ones are sorted
+        order = (row.astype(np.int64) * n + col).argsort()
+        rows.append(row[order])
+        cols.append(col[order].astype(dtype))
+        dots.append(gram.data[keep][order])
+    # each list of blocks is dropped once joined, the widest first
+    dots = np.concatenate(dots)
+    return np.concatenate(rows), np.concatenate(cols), dots, np.sqrt(norms, out=norms)
 
 
 def threshold_graph(similarities: SimilarityMatrix, tau: float) -> UndirectedGraph:
@@ -307,14 +399,20 @@ def modularity(
     first_seen: dict[int, int] = {}
     comm = np.array([first_seen.setdefault(c, len(first_seen)) for c in assignment])
     e = graph.edges
-    degree = np.bincount(_interleave(e.i, e.j), weights=e.w.repeat(2), minlength=graph.n)
-    ci = comm[e.i]
-    same = ci == comm[e.j]
-    internal = np.bincount(ci[same], weights=e.w[same], minlength=len(first_seen)).tolist()
+    degree = np.zeros(graph.n)
+    internal = np.zeros(len(first_seen))
+    # add.at adds in index order from 0.0, as one bincount over all edges would
+    for start in range(0, len(e), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        i, j, w = e.i[part], e.j[part], e.w[part]
+        np.add.at(degree, _interleave(i, j), w.repeat(2))
+        ci = comm[i]
+        same = ci == comm[j]
+        np.add.at(internal, ci[same], w[same])
     totals = np.bincount(comm, weights=degree, minlength=len(first_seen)).tolist()
     two_m = 2.0 * m
     q = 0.0
-    for inside, total in zip(internal, totals):
+    for inside, total in zip(internal.tolist(), totals):
         q += inside / m - resolution * (total / two_m) ** 2
     return q
 
@@ -354,34 +452,45 @@ def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     followed by its neighbours: in edge order at level 0, in order of first
     encounter after aggregation.
 
-    The n loops, then both ends of every edge in edge order, are keyed by
+    Rows are counted first, and each row's loop is placed at its start.  Then
+    a ``_CHUNK`` of edges at a time, both ends of every edge are keyed by
     their row in the narrowest unsigned dtype (:func:`_node_dtype`), and one
-    stable sort of those keys places every entry, whatever the edge order.
-    ``indices`` keep that dtype; ``data`` is float64.
+    stable sort of those keys places each end behind the entries its row
+    already holds, whatever the edge order.  ``indices`` keep that dtype;
+    ``data`` is float64.  Only the output spans every entry.
     """
     n, e = graph.n, graph.edges
     dtype = _node_dtype(n)
-    src = np.empty(n + 2 * len(e), dtype=dtype)
-    dst = np.empty_like(src)
-    src[:n] = dst[:n] = np.arange(n)
-    src[n::2] = dst[n + 1 :: 2] = e.i
-    src[n + 1 :: 2] = dst[n::2] = e.j
-    # each temporary is dropped once used: the sort order is the only
-    # full-length int64 array
-    order = src.argsort(kind="stable")
+    sizes = np.ones(n, dtype=np.intp)
+    np.add.at(sizes, e.i, 1)
+    np.add.at(sizes, e.j, 1)
     indptr = np.zeros(n + 1, dtype=np.intp)
-    np.bincount(src, minlength=n).cumsum(out=indptr[1:])
-    del src
-    indices = dst[order]
-    del dst
-    weight = np.zeros(len(order))
-    weight[n::2] = weight[n + 1 :: 2] = e.w
-    return indptr, indices, weight[order]
+    sizes.cumsum(out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=dtype)
+    data = np.empty(indptr[-1])
+    free = indptr[:-1].copy()  # each row's next empty position
+    indices[free] = np.arange(n)
+    data[free] = 0.0
+    free += 1
+    for start in range(0, len(e), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        i, j = e.i[part], e.j[part]
+        src = _interleave(i, j, dtype)
+        order = src.argsort(kind="stable")
+        counts = np.bincount(src, minlength=n)
+        # a row's k-th end in sorted order lands k places past its free slot
+        at = (free - (counts.cumsum() - counts))[src[order]]
+        at += np.arange(len(at))
+        indices[at] = _interleave(j, i, dtype)[order]
+        order >>= 1  # the end's edge
+        data[at] = e.w[part][order]
+        free += counts
+    return indptr, indices, data
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _interleave(a: np.ndarray, b: np.ndarray, dtype: type = np.intp) -> np.ndarray:
     """a[0], b[0], a[1], b[1], ...: both ends of every edge, in edge order."""
-    out = np.empty(2 * len(a), dtype=np.intp)
+    out = np.empty(2 * len(a), dtype=dtype)
     out[0::2] = a
     out[1::2] = b
     return out
@@ -427,10 +536,10 @@ def _local_moving(
     sigma = np.array(degree)
     ptr = indptr.tolist()
     scale = 2.0 * m * m
-    # A visit reads its whole row; the node's own entry, weighted 0.0 here,
-    # puts its current community among the candidates.
-    weights = data.copy()
-    weights[indptr[:-1]] = 0.0
+    # A visit reads its whole row; the node's own entry, weighted 0.0 until
+    # the sweeps end, puts its current community among the candidates.
+    loops = data[indptr[:-1]]
+    data[indptr[:-1]] = 0.0
     widest = int((indptr[1:] - indptr[:-1]).max(initial=0))
     slot = np.zeros(level_n, dtype=np.intp)
     positions = np.arange(widest)
@@ -461,7 +570,7 @@ def _local_moving(
                 is_rep = rep == pos
                 found = comms[is_rep]
                 compact[rep[is_rep]] = positions[: len(found)]
-                sums = np.bincount(compact[rep], weights=weights[a:b])
+                sums = np.bincount(compact[rep], weights=data[a:b])
                 gain = sums / m - resolution * sigma[found] * kv / scale
                 top = int(gain.argmax())
                 # A leader ahead of every rival by more than eps wins the
@@ -475,6 +584,7 @@ def _local_moving(
                 sigma[best] += kv
                 if best != current:
                     moved = moved_any = True
+    data[indptr[:-1]] = loops
     return community.tolist(), moved_any
 
 
@@ -494,39 +604,47 @@ def _aggregate(
     with its own loop entry, that weight lands first in the new row too.
 
     Each kept entry is keyed ``cv * new_n + cu`` in the narrowest unsigned
-    dtype that holds new_n^2 keys.  When there are no more possible keys
-    than kept entries (a level that collapses well, such as 5000 nodes into
-    25), one ``bincount`` into new_n^2 bins sums the weights and
-    ``minimum.at`` finds each key's first position; otherwise ``np.unique``
-    sorts the keys stably.  Either route sums each key's weights in scan
-    order, and each new row lists its neighbours in order of first
-    encounter.
+    dtype that holds new_n^2 keys, a block of rows (about ``_CHUNK``
+    entries) at a time.  When there are no more possible keys than entries
+    (a level that collapses well, such as 5000 nodes into 25), ``add.at``
+    and ``minimum.at`` into new_n^2 bins sum the weights and find each key's
+    first position, block by block; otherwise ``np.unique`` sorts all kept
+    keys stably.  Either route sums each key's weights in scan order from
+    0.0, and each new row lists its neighbours in order of first encounter.
     """
-    level_n = len(community)
     first_seen: dict[int, int] = {}
     super_of = np.array([first_seen.setdefault(c, len(first_seen)) for c in community])
     new_n = len(first_seen)
     bins = new_n * new_n
     key_of = super_of.astype(_node_dtype(bins))
-    counts = indptr[1:] - indptr[:-1]
-    key = np.repeat(key_of, counts)  # cv, made cv * new_n + cu in place
-    cu = key_of[indices]
-    keep = (key != cu) | (indices >= np.repeat(np.arange(level_n, dtype=indices.dtype), counts))
-    key *= new_n
-    key += cu
-    del cu
-    key = key[keep]
-    kept = data[keep]
-    del keep
-    if bins <= len(key):
-        weights = np.bincount(key, weights=kept, minlength=bins)
-        first = np.full(bins, len(key))
-        np.minimum.at(first, key, np.arange(len(key)))
-        key = np.flatnonzero(first < len(key))
+
+    def kept(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and entry positions of the kept entries of rows a..b-1."""
+        start, stop = indptr[a], indptr[b]
+        counts = np.diff(indptr[a : b + 1])
+        key = np.repeat(key_of[a:b], counts)  # cv, made cv * new_n + cu in place
+        cu = key_of[indices[start:stop]]
+        rows = np.repeat(np.arange(a, b, dtype=indices.dtype), counts)
+        keep = (key != cu) | (indices[start:stop] >= rows)
+        key *= new_n
+        key += cu
+        at = np.flatnonzero(keep)
+        at += start
+        return key[keep], at
+
+    blocks = itertools.starmap(kept, _row_blocks(indptr, _CHUNK))
+    if bins <= len(indices):
+        weights = np.zeros(bins)
+        first = np.full(bins, len(indices))
+        for key, at in blocks:
+            np.add.at(weights, key, data[at])
+            np.minimum.at(first, key, at)
+        key = np.flatnonzero(first < len(indices))
         first, weights = first[key], weights[key]
     else:
+        key, at = map(np.concatenate, zip(*blocks))
         key, first, group = np.unique(key, return_index=True, return_inverse=True)
-        weights = np.bincount(group, weights=kept)
+        weights = np.bincount(group, weights=data[at])
     src = key // new_n
     by_row = np.lexsort((first, src))
     new_indptr = np.zeros(new_n + 1, dtype=np.intp)

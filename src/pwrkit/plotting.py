@@ -41,7 +41,9 @@ def _escape(text: str) -> str:
 
 
 def _tick_step(span: float) -> float:
-    """A round step from {1, 2, 5} * 10^e giving four to eight ticks."""
+    """A round step from {1, 2, 5} * 10^e, from a fifth to under half of the
+    span, so the axis gets two to six ticks (one where the step is lost in the
+    rounding of the first tick)."""
     raw = span / 5.0
     # zero for a span of a few subnormals, and for equal ratios past 2^52, which
     # the +-0.5 widening leaves equal

@@ -9,7 +9,10 @@ library's array versions to reproduce them bit for bit.
 ``adjacency`` and ``aggregate`` are the first array versions of Louvain's
 CSR plumbing: int64 keys, one stable sort per level and full-length
 temporaries.  They fix the layout the library's narrow-dtype versions must
-reproduce value for value.
+reproduce value for value.  ``upper_gram``, ``validated`` and
+``bincount_modularity`` are the one-shot array forms of the cosine step's
+Gram matrix, the edge check and modularity, which the library now runs a
+block or chunk at a time; they fix the bits, errors and sums it must keep.
 """
 
 from __future__ import annotations
@@ -199,3 +202,56 @@ def aggregate(indptr, indices, data, community, assignment):
     new_indptr = np.zeros(new_n + 1, dtype=np.intp)
     np.bincount(src, minlength=new_n).cumsum(out=new_indptr[1:])
     return new_indptr, (key % new_n)[by_row], weights[by_row], super_of[assignment]
+
+
+def upper_gram(entries):
+    """Rows, columns and dots of the positive strict upper triangle of the
+    one-shot CSR Gram matrix, row-major, and the column norms."""
+    gram = (entries.T @ entries).tocsr()
+    gram.sort_indices()
+    norms = np.sqrt(gram.diagonal())
+    rows = np.repeat(np.arange(entries.shape[0]), np.diff(gram.indptr))
+    keep = (gram.indices > rows) & (gram.data > 0.0)
+    return rows[keep], gram.indices[keep], gram.data[keep], norms
+
+
+def validated(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int):
+    """(low, high) as int64, or the ValueError for the first bad edge in input order."""
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    out_of_range = (low < 0) | (high >= n)
+    self_loop = i == j
+    key = low * n + high
+    duplicate = np.zeros(len(key), dtype=bool)
+    if len(key) > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        duplicate[order[1:][ordered[1:] == ordered[:-1]]] = True
+    bad_weight = (w <= 0.0) | ~np.isfinite(w)
+    bad = out_of_range | self_loop | duplicate | bad_weight
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = int(low[k]), int(high[k])
+        if out_of_range[k]:
+            raise ValueError(f"edge ({int(i[k])}, {int(j[k])}) out of range for {n} nodes")
+        if self_loop[k]:
+            raise ValueError(f"self-loop on node {a} is not supported")
+        if duplicate[k]:
+            raise ValueError(f"duplicate edge ({a}, {b})")
+        raise ValueError(f"edge ({a}, {b}) must have positive finite weight")
+    return low.astype(np.int64), high.astype(np.int64)
+
+
+def bincount_modularity(n: int, i, j, w, assignment, resolution: float = 1.0) -> float:
+    """Modularity from one ``bincount`` per sum over all edges."""
+    m = float(sum(w.tolist()))
+    first_seen: dict[int, int] = {}
+    comm = np.array([first_seen.setdefault(c, len(first_seen)) for c in assignment])
+    degree = np.bincount(_interleave(i, j), weights=w.repeat(2), minlength=n)
+    ci = comm[i]
+    same = ci == comm[j]
+    internal = np.bincount(ci[same], weights=w[same], minlength=len(first_seen)).tolist()
+    totals = np.bincount(comm, weights=degree, minlength=len(first_seen)).tolist()
+    q = 0.0
+    for inside, total in zip(internal, totals):
+        q += inside / m - resolution * (total / (2.0 * m)) ** 2
+    return q

@@ -3,7 +3,8 @@
 Differential tests hold the similarity, threshold, Louvain and modularity
 routes to the dense and dict-based formulations in
 ``reference_decomposition`` bit for bit, on dense and CSR storage and with
-the default and a tiny chunk size for the builtin sums.  A memory guard
+the default and a tiny chunk size for the builtin sums and the blockwise
+Gram matrix, which is also held to the one-shot sparse product.  A memory guard
 keeps the sparse route free of n x n arrays, and a networkx cross-check
 ties modularity to an independent implementation.
 """
@@ -126,6 +127,52 @@ def test_similarity_and_threshold_match_dense_reference(seed, n, policy, tau):
     sims = citing_cosine_matrix(z, policy)
     assert np.array_equal(sims.values, expected)
     assert list(threshold_graph(sims, tau).edges) == ref.threshold_edges(expected, tau)
+
+
+@st.composite
+def sparse_with_zero_columns(draw):
+    """A CSR matrix past DENSE_LIMIT with decimal weights and runs of all-zero
+    columns, and a block budget of a few products."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = DENSE_LIMIT + draw(st.integers(min_value=1, max_value=300))
+    nnz = draw(st.sampled_from([0, n // 4, 3 * n, 12 * n]))
+    rows, cols = rng.integers(0, n, nnz), rng.integers(0, n // 40 + 1, nnz) * 40
+    cols += rng.integers(0, 31, nnz)  # columns 31..39 of every 40 stay empty
+    weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1.3, 2.5], size=nnz)
+    entries = sparse.csr_array((weights, (rows, np.minimum(cols, n - 1))), shape=(n, n))
+    return entries, draw(st.sampled_from([1, 5, 64, decomposition._CHUNK]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_with_zero_columns())
+def test_blockwise_gram_has_the_bits_of_the_one_shot_product(drawn):
+    entries, chunk = drawn
+    n = entries.shape[0]
+    blocks = []
+    row_blocks = decomposition._row_blocks
+
+    def recorded(indptr, budget):
+        made = list(row_blocks(indptr, budget))
+        blocks.extend(made)
+        return iter(made)
+
+    with chunked(chunk), mock.patch.object(decomposition, "_row_blocks", recorded):
+        sims = citing_cosine_matrix(CitationMatrix(tuple(map(str, range(n))), entries))
+        got = decomposition._upper_gram(entries)
+    rows, cols, dots, norms = want = ref.upper_gram(entries)
+    for a, b in zip(got, want):
+        assert a.astype(b.dtype).tobytes() == b.tobytes()
+    assert got[0].dtype == got[1].dtype == decomposition._node_dtype(n)
+    denom = norms[rows] * norms[cols]
+    expected = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+    assert sims.pairs.w.tobytes() == expected.clip(0.0, 1.0).tobytes()
+    assert sims.pairs.i.astype(np.int64).tobytes() == rows.astype(np.int64).tobytes()
+    assert sims.pairs.j.astype(np.int64).tobytes() == cols.astype(np.int64).tobytes()
+    # a budget of one product starts a block on each all-zero column that
+    # follows a column with entries
+    if chunk == 1 and entries.nnz:
+        empty = np.flatnonzero(np.diff(entries.tocsc().indptr) == 0)
+        assert set(empty.tolist()) & {a for a, _b in blocks}
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

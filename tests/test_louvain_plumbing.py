@@ -1,11 +1,15 @@
 """Louvain's CSR plumbing against the int64 versions it replaced.
 
-``_adjacency`` and ``_aggregate`` build their arrays in narrow dtypes; the
-properties here hold every ``indptr``, ``indices``, ``data`` and assignment
-value to the oracles in ``reference_decomposition`` byte for byte, on
-shuffled and row-major edge orders, isolated nodes, both ``_aggregate``
-routes and node counts on either side of the uint16 key width.  A memory
-test bounds ``louvain_partition``'s traced peak per level-0 entry.
+``_adjacency`` and ``_aggregate`` build their arrays in narrow dtypes, a
+chunk of edges or a block of rows at a time; the properties here hold every
+``indptr``, ``indices``, ``data`` and assignment value to the one-shot
+oracles in ``reference_decomposition`` byte for byte, on shuffled and
+row-major edge orders, isolated nodes, both ``_aggregate`` routes, chunk
+sizes that split rows and edges, and node counts on either side of the
+uint16 key width.  The chunked edge check and modularity are held to their
+one-shot forms the same way: the same ids, the same error for the first bad
+edge, the same bits of Q.  Memory tests bound ``louvain_partition``'s traced
+peak per level-0 entry and the whole chain's per kept similarity pair.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import math
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pwrkit import (
@@ -26,13 +31,26 @@ from pwrkit import (
 )
 
 from . import reference_decomposition as ref
-from .test_decomposition_arrays import fielded_matrix
+from .test_decomposition_arrays import chunked, fielded_matrix
 
 # louvain_partition's traced peak may not exceed this many bytes per
-# level-0 entry (the n loops plus both ends of every edge).  The int64
-# plumbing peaked near 74 bytes on the graph below; one float64 weight per
-# entry is 8.
-PEAK_BYTES_PER_ENTRY = 32
+# level-0 entry (the n loops plus both ends of every edge) on the graph
+# below, which spans several chunks.  The int64 plumbing peaked near 74
+# bytes, the one-shot narrow plumbing near 26; the chunked plumbing peaks
+# near 17.3, of which the level-0 arrays hold 10 (a float64 weight and a
+# uint16 id per entry).  The bound leaves about 15% over that.
+PEAK_BYTES_PER_ENTRY = 20
+
+# The traced peak of cosine -> threshold -> Louvain on the same matrix may
+# not exceed this many bytes per kept similarity pair.  The one-shot Gram
+# matrix, with int64 ids in every stage, peaked near 79; blockwise and
+# narrow, the chain peaks near 47 (a kept pair is 12 bytes: two uint16 ids
+# and a float64 weight).  The bound leaves about 20% over that.
+CHAIN_PEAK_BYTES_PER_PAIR = 56
+
+# Chunk sizes for the properties: ones that split every row and edge list,
+# and the default.
+CHUNK_SIZES = st.sampled_from([1, 2, 3, 7, decomposition._CHUNK])
 
 
 def assert_same_arrays(got, want) -> None:
@@ -97,32 +115,34 @@ def level_zero(graph: UndirectedGraph):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs())
-def test_adjacency_matches_int64_oracle(drawn):
+@given(graphs(), CHUNK_SIZES)
+def test_adjacency_matches_int64_oracle(drawn, chunk):
     graph, _rng = drawn
-    new, old = level_zero(graph)
+    with chunked(chunk):
+        new, old = level_zero(graph)
     assert_same_arrays(new[:3], old[:3])
     assert new[1].dtype == np.uint16
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(), st.sampled_from(["binned", "sorted"]), st.data())
-def test_aggregate_matches_int64_oracle_on_both_routes(drawn, route, data):
+@given(graphs(), st.sampled_from(["binned", "sorted"]), CHUNK_SIZES, st.data())
+def test_aggregate_matches_int64_oracle_on_both_routes(drawn, route, chunk, data):
     graph, rng = drawn
-    new, old = level_zero(graph)
-    for _level in range(2):
-        level_n, entries = len(new[0]) - 1, len(new[1])
-        if route == "binned":
-            # every row keeps its loop entry, so k^2 <= level_n bins never
-            # outnumber the kept entries
-            k = data.draw(st.integers(min_value=1, max_value=math.isqrt(level_n)))
-        else:
-            # more bins than entries of any kind
-            low = math.isqrt(entries) + 1
-            if low > level_n:
-                break
-            k = data.draw(st.integers(min_value=low, max_value=level_n))
-        new, old = collapse(new, old, k, rng)
+    with chunked(chunk):
+        new, old = level_zero(graph)
+        for _level in range(2):
+            level_n, entries = len(new[0]) - 1, len(new[1])
+            if route == "binned":
+                # every row holds its loop entry, so k^2 <= level_n bins never
+                # outnumber the entries
+                k = data.draw(st.integers(min_value=1, max_value=math.isqrt(level_n)))
+            else:
+                # more bins than entries of any kind
+                low = math.isqrt(entries) + 1
+                if low > level_n:
+                    break
+                k = data.draw(st.integers(min_value=low, max_value=level_n))
+            new, old = collapse(new, old, k, rng)
 
 
 def test_plumbing_past_the_uint16_key_width():
@@ -137,9 +157,116 @@ def test_plumbing_past_the_uint16_key_width():
         collapse(new, old, k, rng)
 
 
+def edge_check(graph_edges, n: int):
+    """The library's check and the one-shot one: ids as int64, or the message."""
+    i, j, w = (np.array(column) for column in zip(*graph_edges))
+    try:
+        e = decomposition._validated(decomposition.EdgeList(i, j, w), n)
+        assert e.i.dtype == e.j.dtype == decomposition._node_dtype(n)
+        got = (e.i.astype(np.int64).tolist(), e.j.astype(np.int64).tolist())
+    except ValueError as exc:
+        got = str(exc)
+    try:
+        low, high = ref.validated(i, j, w, n)
+        want = (low.tolist(), high.tolist())
+    except ValueError as exc:
+        want = str(exc)
+    return got, want
+
+
+@st.composite
+def edges_with_faults(draw):
+    """Random edges, sorted or not, with a few out-of-range ends, self-loops,
+    repeats and bad weights dropped in anywhere."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            max_size=40,
+            unique_by=lambda p: (min(p), max(p)),
+        )
+    )
+    if draw(st.booleans()):
+        pairs.sort(key=lambda p: (min(p), max(p)))
+        pairs = [(min(p), max(p)) for p in pairs]
+    edges = [(a, b, 1.5) for a, b in pairs]
+    for _fault in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(edges)))
+        kind = draw(st.sampled_from(["range", "loop", "repeat", "weight"]))
+        if kind == "range":
+            edge = (draw(st.sampled_from([-1, n, n + 5])), 0, 1.5)
+        elif kind == "loop":
+            node = draw(st.integers(0, n - 1))
+            edge = (node, node, 1.5)
+        elif kind == "repeat" and edges:
+            a, b, _w = edges[draw(st.integers(0, len(edges) - 1))]
+            edge = (b, a, 2.5)
+        else:
+            a, b = draw(st.sampled_from(pairs or [(0, 1)]))
+            edge = (a, b, draw(st.sampled_from([0.0, -1.0, float("nan"), float("inf")])))
+        edges.insert(at, edge)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges_with_faults(), CHUNK_SIZES)
+def test_chunked_edge_check_matches_the_one_shot_check(drawn, chunk):
+    n, edges = drawn
+    assume(edges)
+    with chunked(chunk):
+        got, want = edge_check(edges, n)
+    assert got == want
+
+
+VALID = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "fault, later, message",
+    [
+        ((9, 0, 1.0), (0, 0, 1.0), "edge (9, 0) out of range for 8 nodes"),
+        ((5, 5, 1.0), (9, 0, 1.0), "self-loop on node 5 is not supported"),
+        ((2, 0, 1.0), (9, 0, 1.0), "duplicate edge (0, 2)"),
+        ((2, 0, -1.0), (6, 6, 1.0), "duplicate edge (0, 2)"),
+        ((4, 6, 0.0), (1, 0, 1.0), "edge (4, 6) must have positive finite weight"),
+    ],
+    ids=["out-of-range", "self-loop", "duplicate", "duplicate-and-weight", "weight"],
+)
+def test_edge_check_names_the_first_bad_edge_past_the_first_chunk(fault, later, message):
+    # chunks of three put the fault in the fourth chunk and a second fault,
+    # of another kind, after it
+    edges = VALID + [(4, 5, 1.0), (4, 7, 1.0), (5, 6, 1.0), fault, (5, 7, 1.0), later]
+    with chunked(3):
+        got, want = edge_check(edges, 8)
+    assert got == want == message
+
+
+@st.composite
+def assignments(draw):
+    graph, rng = draw(graphs())
+    k = draw(st.integers(min_value=1, max_value=graph.n))
+    return graph, communities(graph.n, k, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assignments(), CHUNK_SIZES, st.sampled_from([0.0, 1.0, 1.7]))
+def test_chunked_modularity_has_the_bits_of_one_bincount(drawn, chunk, resolution):
+    graph, assignment = drawn
+    assume(len(graph.edges))
+    e = graph.edges
+    i, j = e.i.astype(np.int64), e.j.astype(np.int64)
+    with chunked(chunk):
+        q = decomposition.modularity(graph, assignment, resolution)
+    assert repr(q) == repr(ref.bincount_modularity(graph.n, i, j, e.w, assignment, resolution))
+
+
+def several_chunk_matrix():
+    """264k kept similarity pairs (five default chunks of edges), 532k level-0 entries."""
+    return fielded_matrix(4000, fields=4, per_column=12, seed=0)
+
+
 def test_louvain_peak_memory_is_a_small_multiple_of_the_entries():
-    z = fielded_matrix(2000, fields=10, per_column=6, seed=0)
-    graph = threshold_graph(citing_cosine_matrix(z), 0.01)
+    graph = threshold_graph(citing_cosine_matrix(several_chunk_matrix()), 0.01)
     entries = graph.n + 2 * len(graph.edges)
     tracemalloc.start()
     try:
@@ -149,3 +276,16 @@ def test_louvain_peak_memory_is_a_small_multiple_of_the_entries():
         tracemalloc.stop()
     assert part.n_communities > 1
     assert peak < PEAK_BYTES_PER_ENTRY * entries
+
+
+def test_decompose_chain_peak_memory_is_a_small_multiple_of_the_kept_pairs():
+    z = several_chunk_matrix()
+    tracemalloc.start()
+    try:
+        graph = threshold_graph(citing_cosine_matrix(z), 0.01)
+        part = louvain_partition(graph)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert part.n_communities > 1
+    assert peak < CHAIN_PEAK_BYTES_PER_PAIR * len(graph.edges)

@@ -7,6 +7,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pwrkit import ContractError, PwrOptions, TraceTable, pwr_trace, render_convergence_svg
 
@@ -170,3 +172,18 @@ def test_equal_ratios_past_the_widening_raise_contract_error():
     trace = two_by_two([[1e20, 1e20], [1e20, 1e20]])
     with within_seconds(10), pytest.raises(ContractError, match="too close together"):
         render_convergence_svg(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=10.0)),
+    st.integers(min_value=-6, max_value=12),
+)
+def test_the_ratio_axis_gets_two_to_six_ticks(low, mantissa, exponent):
+    # the step lies between a fifth and half of the padded span, so the span
+    # holds more than two steps and at most five
+    span = mantissa * 10.0**exponent
+    assume(span >= 1e-9 * max(1.0, abs(low)) if span else abs(low) <= 1e9)
+    svg = render_convergence_svg(two_by_two([[low, low + span], [low, low]]))
+    assert 2 <= svg.count('text-anchor="end"') <= 6
