@@ -457,34 +457,55 @@ def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     their row in the narrowest unsigned dtype (:func:`_node_dtype`), and one
     stable sort of those keys places each end behind the entries its row
     already holds, whatever the edge order.  ``indices`` keep that dtype;
-    ``data`` is float64.  Only the output spans every entry.
+    ``data`` is float64.  Only the output spans every entry; of a chunk's
+    temporaries, the sort order is the one int64 array, and its buffer is
+    reused for the ends' destinations once their neighbours and weights are
+    gathered (18 bytes per end in all).
     """
     n, e = graph.n, graph.edges
     dtype = _node_dtype(n)
-    sizes = np.ones(n, dtype=np.intp)
-    np.add.at(sizes, e.i, 1)
-    np.add.at(sizes, e.j, 1)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    sizes.cumsum(out=indptr[1:])
+    indptr = np.ones(n + 1, dtype=np.intp)  # row sizes, then their running sum
+    indptr[0] = 0
+    np.add.at(indptr[1:], e.i, 1)
+    np.add.at(indptr[1:], e.j, 1)
+    np.cumsum(indptr, out=indptr)
     indices = np.empty(indptr[-1], dtype=dtype)
     data = np.empty(indptr[-1])
     free = indptr[:-1].copy()  # each row's next empty position
     indices[free] = np.arange(n)
     data[free] = 0.0
     free += 1
-    for start in range(0, len(e), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        i, j = e.i[part], e.j[part]
-        src = _interleave(i, j, dtype)
-        order = src.argsort(kind="stable")
+
+    def place(part: slice) -> None:
+        """Place both ends of the edges in ``part`` behind their rows' entries.
+
+        A function, so that one chunk's temporaries are freed before the
+        next chunk's are made."""
+        src = _interleave(e.i[part], e.j[part], dtype)
         counts = np.bincount(src, minlength=n)
-        # a row's k-th end in sorted order lands k places past its free slot
-        at = (free - (counts.cumsum() - counts))[src[order]]
-        at += np.arange(len(at))
-        indices[at] = _interleave(j, i, dtype)[order]
+        order = src.argsort(kind="stable")
+        order ^= 1  # the other end of the same edge
+        neighbour = src[order]
+        del src
         order >>= 1  # the end's edge
-        data[at] = e.w[part][order]
-        free += counts
+        weight = e.w[part].take(order)
+        # The k-th sorted end of a row lands k slots past the row's free one,
+        # so the slots rise by one except where a new row starts: a running
+        # sum of steps, built in the sort order's buffer.
+        rows = np.flatnonzero(counts)
+        size = counts[rows]
+        slot = free[rows]
+        at = order
+        at.fill(1)
+        at[0] = slot[0]
+        at[size[:-1].cumsum()] = slot[1:] - (slot[:-1] + size[:-1] - 1)
+        np.cumsum(at, out=at)
+        indices[at] = neighbour
+        data[at] = weight
+        free[rows] += size
+
+    for start in range(0, len(e), _CHUNK):
+        place(slice(start, start + _CHUNK))
     return indptr, indices, data
 
 

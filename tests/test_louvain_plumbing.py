@@ -33,20 +33,25 @@ from pwrkit import (
 from . import reference_decomposition as ref
 from .test_decomposition_arrays import chunked, fielded_matrix
 
-# louvain_partition's traced peak may not exceed this many bytes per
-# level-0 entry (the n loops plus both ends of every edge) on the graph
-# below, which spans several chunks.  The int64 plumbing peaked near 74
-# bytes, the one-shot narrow plumbing near 26; the chunked plumbing peaks
-# near 17.3, of which the level-0 arrays hold 10 (a float64 weight and a
-# uint16 id per entry).  The bound leaves about 15% over that.
-PEAK_BYTES_PER_ENTRY = 20
+# louvain_partition's traced peak may not exceed PEAK_BYTES_PER_ENTRY bytes
+# per level-0 entry (the n loops plus both ends of every edge) on the
+# one-chunk graph below, nor SEVERAL_CHUNK_PEAK_BYTES_PER_ENTRY on the
+# five-chunk graph.  The level-0 arrays hold 10 bytes per entry (a float64
+# weight and a uint16 id); placing a chunk of edges adds 18 bytes per end of
+# the chunk.  On the one-chunk graph, where every end is in the chunk, the
+# int64 plumbing peaked near 74 bytes, the one-shot narrow plumbing near
+# 26.3 and the chunked plumbing near 29.4.  On the five-chunk graph the
+# one-shot plumbing peaked near 26.1 and the chunked one near 14.9, for
+# which 17 leaves about 15%.
+PEAK_BYTES_PER_ENTRY = 32
+SEVERAL_CHUNK_PEAK_BYTES_PER_ENTRY = 17
 
-# The traced peak of cosine -> threshold -> Louvain on the same matrix may
-# not exceed this many bytes per kept similarity pair.  The one-shot Gram
+# The traced peak of cosine -> threshold -> Louvain on the five-chunk matrix
+# may not exceed this many bytes per kept similarity pair.  The one-shot Gram
 # matrix, with int64 ids in every stage, peaked near 79; blockwise and
-# narrow, the chain peaks near 47 (a kept pair is 12 bytes: two uint16 ids
+# narrow, the chain peaks near 42 (a kept pair is 12 bytes: two uint16 ids
 # and a float64 weight).  The bound leaves about 20% over that.
-CHAIN_PEAK_BYTES_PER_PAIR = 56
+CHAIN_PEAK_BYTES_PER_PAIR = 50
 
 # Chunk sizes for the properties: ones that split every row and edge list,
 # and the default.
@@ -260,13 +265,19 @@ def test_chunked_modularity_has_the_bits_of_one_bincount(drawn, chunk, resolutio
     assert repr(q) == repr(ref.bincount_modularity(graph.n, i, j, e.w, assignment, resolution))
 
 
+def one_chunk_matrix():
+    """34k kept similarity pairs (one default chunk of edges), 69k level-0 entries."""
+    return fielded_matrix(2000, fields=10, per_column=6, seed=0)
+
+
 def several_chunk_matrix():
     """264k kept similarity pairs (five default chunks of edges), 532k level-0 entries."""
     return fielded_matrix(4000, fields=4, per_column=12, seed=0)
 
 
-def test_louvain_peak_memory_is_a_small_multiple_of_the_entries():
-    graph = threshold_graph(citing_cosine_matrix(several_chunk_matrix()), 0.01)
+def louvain_peak_per_entry(z) -> float:
+    """louvain_partition's traced peak per level-0 entry on z's threshold graph."""
+    graph = threshold_graph(citing_cosine_matrix(z), 0.01)
     entries = graph.n + 2 * len(graph.edges)
     tracemalloc.start()
     try:
@@ -275,7 +286,16 @@ def test_louvain_peak_memory_is_a_small_multiple_of_the_entries():
     finally:
         tracemalloc.stop()
     assert part.n_communities > 1
-    assert peak < PEAK_BYTES_PER_ENTRY * entries
+    return peak / entries
+
+
+def test_louvain_peak_memory_is_a_small_multiple_of_the_entries():
+    assert louvain_peak_per_entry(one_chunk_matrix()) < PEAK_BYTES_PER_ENTRY
+
+
+def test_louvain_peak_memory_per_entry_is_lower_on_a_graph_of_several_chunks():
+    peak = louvain_peak_per_entry(several_chunk_matrix())
+    assert peak < SEVERAL_CHUNK_PEAK_BYTES_PER_ENTRY
 
 
 def test_decompose_chain_peak_memory_is_a_small_multiple_of_the_kept_pairs():
