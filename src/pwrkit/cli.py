@@ -285,11 +285,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         text = _read_text(path)
         try:
             metric = read_metric_csv(text, name=name)
-            columns.append(align_to(columns[0], metric) if columns else metric)
+            columns.append(align_to(columns[0], metric))
         except ValueError as exc:
             raise CliError(EXIT_INPUT, f"{path}: {exc}") from exc
-    if not columns:
-        raise CliError(EXIT_INPUT, "nothing to compare; request at least one metric")
 
     names = [csv_cell(m.name) for m in columns]
     lines = ["label," + ",".join(names)]

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import SelfCitations
+from .engine import ContractError, SelfCitations
 from .matrix import CitationMatrix, Entries, NodeSet, zero_diagonal
 
 # Gains closer than this are treated as equal so float noise cannot flip
@@ -126,7 +126,7 @@ class SimilarityMatrix:
     ) -> SimilarityMatrix:
         """Wrap row-major pairs with i < j and similarities in [0, 1]."""
         if not np.isfinite(pairs.w).all():
-            raise ValueError("similarities must be finite")
+            raise ContractError("similarities must be finite")
         obj = cls.__new__(cls)
         obj._init(labels, pairs, diagonal)
         return obj

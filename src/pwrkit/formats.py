@@ -5,7 +5,9 @@ sections, citation-matrix CSV mirroring the usual table layout (rows cited,
 columns citing), and flat CSVs for iteration traces and external per-journal
 metrics.  Parsers reject malformed input with a positioned error instead of
 guessing; writers emit deterministic LF-terminated UTF-8 so identical data
-produces identical bytes.
+produces identical bytes.  Every CSV writer quotes by one rule,
+:func:`csv_cell`, so every label reads back and the bytes are the same on
+every supported Python.
 
 Arc orientation in network files follows the cited-to-citing convention:
 an arc line ``src dst w`` adds w citations to ``Z[src-1][dst-1]``, i.e. src
@@ -38,7 +40,7 @@ _BARE_VERTEX = re.compile(r"^(\d+)\s+(\S+)$")
 # cut out, each ended by a newline.
 _QUOTED_LABEL = re.compile(r'"([^"\n]*)"')
 _PLAIN_HEADS = re.compile(r'(?:[ \t]*[0-9]{1,15}[ \t]+""[ \t]*\n)*')
-# The characters for which the csv module may quote a cell.
+# The characters that make csv_cell quote a cell.
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 TRACE_HEADER = ("label", "k", "power", "weakness", "ratio")
@@ -345,30 +347,21 @@ def read_csv_matrix(text: str) -> CitationMatrix:
 
 
 def write_csv_matrix(z: CitationMatrix) -> str:
-    """Inverse of :func:`read_csv_matrix`; integer weights stay integers.
-
-    csv quotes only a label holding a comma, a quote or a newline; one with a
-    bare carriage return would end its row, so it raises ``ValueError``.
-    """
-    for name in z.labels:
-        if "\r" in name and not any(c in name for c in ',"\n'):
-            raise ValueError(f"label {name!r} holds a carriage return csv would leave unquoted")
+    """Inverse of :func:`read_csv_matrix`; integer weights stay integers."""
+    # a lone empty header cell is quoted: a blank line would not read back
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([""] + list(z.labels))
+    buffer.write(f",{','.join(map(csv_cell, z.labels))}\n" if z.n else '""\n')
     for name, cells in zip(z.labels, _row_cells(z)):
         buffer.write(f"{csv_cell(name)},{','.join(cells)}\n")
     return buffer.getvalue()
 
 
 def csv_cell(text: str) -> str:
-    """``text`` as the csv module writes it in one cell of a row: quoted, with
-    quotes doubled, when it holds a comma, a quote or a newline; else bare."""
+    """``text`` as one CSV cell: quoted, with quotes doubled, when it holds a
+    comma, a quote, a carriage return or a line feed; else bare."""
     if not _CSV_SPECIAL.search(text):
         return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
-    return buffer.getvalue()[:-2]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _row_cells(z: CitationMatrix) -> Iterator[list[str]]:
@@ -455,10 +448,7 @@ def read_metric_csv(text: str, name: str = "external") -> MetricVector:
             raise ParseError(f"not a number: {row[1]!r}", line=r) from None
         labels.append(row[0])
         seen.add(row[0])
-    try:
-        return MetricVector(name, tuple(labels), np.asarray(values, dtype=np.float64))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return MetricVector(name, tuple(labels), np.asarray(values, dtype=np.float64))
 
 
 def write_metric_csv(metric: MetricVector) -> str:

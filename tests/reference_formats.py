@@ -15,6 +15,12 @@ fills each row from the nonzero entries and must produce the same bytes.
 ``write_trace_csv`` is the row-by-row trace writer: one ``csv.writer`` row
 and three ``repr`` calls per (label, k).  The library formats a block of
 labels at a time, column by column, and must produce the same bytes.
+
+Both writers quote through the csv module, not through ``csv_cell``: each
+row is written by its own ``csv.writer(lineterminator="\\r\\n")``, whose
+terminator makes it quote a cell holding a bare carriage return (an LF
+terminator leaves one bare before Python 3.13), and the row end is then
+rewritten to ``"\\n"``.
 """
 
 from __future__ import annotations
@@ -137,30 +143,30 @@ def read_pajek(text: str) -> CitationMatrix:
 
 
 
+def csv_row(cells: list) -> str:
+    """One row as ``csv.writer(lineterminator="\\r\\n")`` writes it, ended by ``"\\n"``."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
+
+
 def write_trace_csv(trace: TraceTable) -> str:
     """Serialize a trace, label-major then k ascending, at full precision."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
+    rows = [csv_row(list(TRACE_HEADER))]
     ks = range(1, trace.k_max + 1)
     columns = zip(trace.powers.T, trace.weaknesses.T, trace.ratios.T)
     for name, (powers, weaknesses, ratios) in zip(trace.labels, columns):
-        writer.writerows(
-            [name, k, repr(p), repr(w), repr(r)]
+        rows.extend(
+            csv_row([name, k, repr(p), repr(w), repr(r)])
             for k, p, w, r in zip(ks, powers.tolist(), weaknesses.tolist(), ratios.tolist())
         )
-    return buffer.getvalue()
+    return "".join(rows)
 
 
 def write_csv_matrix(z: CitationMatrix) -> str:
     """The matrix CSV writer cell by cell: one ``csv.writer`` row per cited
     label, every cell of the dense matrix through ``_format_number``."""
-    for name in z.labels:
-        if "\r" in name and not any(c in name for c in ',"\n'):
-            raise ValueError(f"label {name!r} holds a carriage return csv would leave unquoted")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([""] + list(z.labels))
+    rows = [csv_row([""] + list(z.labels))]
     for name, row in zip(z.labels, z.to_dense().tolist()):
-        writer.writerow([name] + [_format_number(value) for value in row])
-    return buffer.getvalue()
+        rows.append(csv_row([name] + [_format_number(value) for value in row]))
+    return "".join(rows)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from pwrkit import (
     write_pajek,
     write_trace_csv,
 )
+from pwrkit.cli import main
 from pwrkit.formats import _format_number, csv_cell
 from pwrkit.matrix import DENSE_LIMIT, nonzero_entries
 
@@ -143,9 +147,11 @@ class TestCsvMatrix:
         z = CitationMatrix(("J, A", "B"), np.array([[0.0, 1.0], [2.0, 0.0]]))
         assert read_csv_matrix(write_csv_matrix(z)) == z
 
-    def test_label_with_unquoted_carriage_return_is_refused(self):
-        with pytest.raises(ValueError, match=r"label '\\r' holds a carriage return"):
-            write_csv_matrix(CitationMatrix(("\r", "B"), np.zeros((2, 2))))
+    def test_label_with_bare_carriage_return_round_trips(self):
+        z = CitationMatrix(("\r", "B"), np.zeros((2, 2)))
+        text = write_csv_matrix(z)
+        assert text == ',"\r",B\n"\r",0,0\nB,0,0\n'
+        assert read_csv_matrix(text) == z
 
     @pytest.mark.parametrize("label", ["A\r\nB", "A\rB,", 'A\r"'])
     def test_quoted_carriage_return_survives(self, label):
@@ -422,20 +428,78 @@ def test_csv_writer_round_trips_or_refuses_labels(labels):
         z = CitationMatrix(tuple(labels), np.ones((len(labels), len(labels))))
     except ValueError:
         return
-    try:
-        text = write_csv_matrix(z)
-    except ValueError:
-        # only a carriage return the writer cannot quote is refused
-        assert any("\r" in name for name in labels)
-        return
-    assert read_csv_matrix(text) == z
+    assert read_csv_matrix(write_csv_matrix(z)) == z
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=st.sampled_from(',"\r\n \t\x85\u2028ab'), max_size=6) | st.text(max_size=6))
 def test_csv_cell_matches_csv_module(text):
-    # csv_cell skips the csv module for text without a comma, quote or line
-    # break, so the module must leave every such cell bare
+    # with a CR LF terminator the csv module quotes a bare carriage return too
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text, "x"])
-    assert f"{csv_cell(text)},x\n" == buffer.getvalue()
+    csv.writer(buffer, lineterminator="\r\n").writerow([text, "x"])
+    assert f"{csv_cell(text)},x\r\n" == buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    ("text", "cell"),
+    [
+        ("", ""),
+        ("a b", "a b"),
+        ("\x00\x85\x0b\t\u2028", "\x00\x85\x0b\t\u2028"),
+        ("a,b", '"a,b"'),
+        ('"', '""""'),
+        ('a"b', '"a""b"'),
+        ("\r", '"\r"'),
+        ("a\rb", '"a\rb"'),
+        ("\n", '"\n"'),
+        ("\r\n", '"\r\n"'),
+        (' ,"\r\n\x00', '" ,""\r\n\x00"'),
+    ],
+)
+def test_csv_cell_writes_fixed_bytes(text, cell):
+    assert csv_cell(text) == cell
+
+
+# The characters a CSV writer must quote, and some it must leave bare.
+LABEL_CHARS = list(',"\r\n\x00\x85 \xa0\u2028a')
+
+
+def quote_all(cells: list[str]) -> str:
+    """One matrix CSV row with every cell quoted, independent of ``csv_cell``."""
+    return ",".join('"' + cell.replace('"', '""') + '"' for cell in cells) + "\n"
+
+
+def cli_csv_labels(argv: list[str], workdir: Path, rows: slice) -> list[str]:
+    """The first cells of the given rows of the CSV a CLI run writes to ``out.csv``."""
+    files = ["--input", str(workdir / "m.csv"), "--output", str(workdir / "out.csv")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, *files]) == 0
+    text = (workdir / "out.csv").read_bytes().decode("utf-8")
+    return [row[0] for row in list(csv.reader(io.StringIO(text)))[rows]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.text(st.sampled_from(LABEL_CHARS), min_size=1, max_size=4),
+        min_size=2, max_size=4, unique=True,
+    )
+)
+def test_every_label_the_matrix_reader_accepts_reads_back_from_every_csv_writer(labels):
+    n = len(labels)
+    cells = [[str(i * n + j + 1) for j in range(n)] for i in range(n)]
+    source = quote_all(["", *labels])
+    source += "".join(quote_all([name, *row]) for name, row in zip(labels, cells))
+    z = read_csv_matrix(source)
+    assert z.labels == tuple(labels)
+    assert read_csv_matrix(write_csv_matrix(z)) == z
+    assert read_trace_csv(write_trace_csv(pwr_trace(z, PwrOptions(k_max=2)))).labels == z.labels
+    metric = MetricVector("m", z.labels, np.arange(n, dtype=np.float64))
+    assert read_metric_csv(write_metric_csv(metric)).labels == z.labels
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        (workdir / "m.csv").write_bytes(source.encode("utf-8"))
+        # every weight is positive, so the similarity graph has edges, and
+        # they differ, so the metric has the variance its correlation needs
+        assert cli_csv_labels(["decompose"], workdir, slice(1, None)) == labels
+        assert cli_csv_labels(["compare", "--metrics", "cf"], workdir, slice(1, n + 1)) == labels
