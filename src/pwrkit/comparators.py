@@ -254,9 +254,9 @@ def align_to(reference: MetricVector, other: MetricVector) -> MetricVector:
 def compare_rankings(metrics: Sequence[MetricVector]) -> list[list[RankingComparison]]:
     """All pairwise Pearson/Spearman comparisons, aligned to the first metric.
 
-    Each metric is ranked once and each unordered pair computed once; the
+    Each metric is ranked once and each distinct pair computed once; the
     mirror cell reuses both floats, since the coefficient is symmetric bit
-    for bit.
+    for bit.  A metric's own cell is ``(1.0, 1.0)`` by definition.
     """
     if not metrics:
         raise ContractError("need at least one metric to compare")
@@ -265,11 +265,11 @@ def compare_rankings(metrics: Sequence[MetricVector]) -> list[list[RankingCompar
     pairs = {
         (i, j): (pearson(aligned[i], aligned[j]), _pearson_of(ranks[i], ranks[j]))
         for i in range(len(aligned))
-        for j in range(i, len(aligned))
+        for j in range(i + 1, len(aligned))
     }
     return [
         [
-            RankingComparison(x.labels, x, y, *pairs[min(i, j), max(i, j)])
+            RankingComparison(x.labels, x, y, *pairs.get((min(i, j), max(i, j)), (1.0, 1.0)))
             for j, y in enumerate(aligned)
         ]
         for i, x in enumerate(aligned)

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import ContractError, SelfCitations
-from .matrix import CitationMatrix, Entries, NodeSet, zero_diagonal
+from .matrix import CitationMatrix, Entries, NodeSet, nonzero_arrays, zero_diagonal
 
 # Gains closer than this are treated as equal so float noise cannot flip
 # deterministic tie-breaks.
@@ -734,10 +734,9 @@ def citing_threshold_subset(
     row_idx = z.index_of(target)
     if math.isnan(min_count):
         raise ValueError("min_count must be a number, got nan")
-    if z.is_sparse:
-        row = z.entries[[row_idx]].toarray().ravel()
-    else:
-        row = np.asarray(z.entries[row_idx])
+    rows, cols, weights = nonzero_arrays(z)
+    on_row = rows == row_idx
+    row = np.bincount(cols[on_row], weights[on_row], minlength=z.n)
     qualifying = tuple(int(j) for j in np.nonzero(row >= float(min_count))[0])
     return NodeSet(z.labels, qualifying)
 

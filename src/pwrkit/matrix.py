@@ -7,22 +7,19 @@ Matrices up to :data:`DENSE_LIMIT` nodes are stored dense (numpy); larger ones
 switch to compressed sparse rows so complete-database-scale inputs stay
 tractable.  All operations are pure: they return new objects and never mutate.
 
-Dense storage runs on numpy alone: ``scipy.sparse`` costs as much start-up as
-numpy itself, so it is imported only when a CSR matrix is built or used.
-
-Storage is decided here.  ``entry``, ``==``, :func:`transpose`,
-:func:`extract_subgraph`, :func:`zero_diagonal`, both matrix writers and, on
-integer weights, ``citation_factor`` give the same bits on either storage.
-``pwr_trace``, ``pagerank`` and ``hits`` do not: dense ``@`` runs through
-BLAS, whose summation order CSR does not reproduce, so their results differ
-in the last bits with the side of :data:`DENSE_LIMIT` a matrix falls on.
-``entry``, ``==``, :func:`transpose` and :func:`extract_subgraph` make one
-call on either storage, and :func:`from_arcs` builds CSR.  Forks stay where
-one call would differ: :func:`nonzero_arrays`, ``to_dense`` and
-:func:`zero_diagonal` keep dense runs free of scipy; ``pagerank``'s walk
-(broadcasting over CSR gives other bits than ``@ diags``),
-``citing_cosine_matrix``'s Gram matrix and norms (another summation order)
-and ``citing_threshold_subset``'s row (``toarray()``).
+Storage is decided here, by the node count: in the constructor and in
+:func:`from_arcs`, the one way from arcs to either storage.  ``entry``,
+``==``, :func:`transpose`, :func:`extract_subgraph`, :func:`zero_diagonal`,
+both matrix writers and, on integer weights, ``citation_factor`` give the
+same bits on either storage.  ``pwr_trace``, ``pagerank`` and ``hits`` do
+not: dense ``@`` runs through BLAS, whose summation order CSR does not
+reproduce, so their results differ in the last bits with the side of
+:data:`DENSE_LIMIT` a matrix falls on.  Forks stay where one call would
+differ: :func:`nonzero_arrays`, ``to_dense`` and :func:`from_arcs` keep dense
+runs on numpy alone (``scipy.sparse`` costs as much start-up as numpy, so it
+is imported only when a CSR matrix is built or used); ``pagerank``'s walk
+(broadcasting over CSR gives other bits than ``@ diags``) and
+``citing_cosine_matrix``'s Gram matrix and norms (another summation order).
 """
 
 from __future__ import annotations
@@ -173,9 +170,16 @@ def from_arcs(
     labels: Sequence[str], rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
 ) -> CitationMatrix:
     """The matrix whose entry (i, j) sums the weights of the 0-based arcs from
-    row i to column j; duplicate arcs add up in scipy's ``coo -> csr`` order."""
-    entries = _sparse().coo_array((weights, (rows, cols)), shape=(len(labels),) * 2)
-    return CitationMatrix(labels, entries.tocsr())
+    row i to column j.  Repeated arcs add up in the order given up to
+    :data:`DENSE_LIMIT` nodes (dense, no scipy), in scipy's ``coo -> csr``
+    order above it: the same bits on integer weights or unrepeated arcs."""
+    n = len(labels)
+    if n > DENSE_LIMIT:
+        entries = _sparse().coo_array((weights, (rows, cols)), shape=(n, n)).tocsr()
+    else:
+        entries = np.zeros((n, n))
+        np.add.at(entries, (rows, cols), weights)
+    return CitationMatrix(labels, entries)
 
 
 def transpose(z: CitationMatrix) -> CitationMatrix:
@@ -184,14 +188,10 @@ def transpose(z: CitationMatrix) -> CitationMatrix:
 
 
 def zero_diagonal(z: CitationMatrix) -> CitationMatrix:
-    """Drop within-journal self-citations (the main diagonal)."""
-    if z.is_sparse:
-        coo = z.entries.tocoo()
-        keep = coo.row != coo.col
-        return from_arcs(z.labels, coo.row[keep], coo.col[keep], coo.data[keep])
-    cleaned = z.to_dense()
-    np.fill_diagonal(cleaned, 0.0)
-    return CitationMatrix(z.labels, cleaned)
+    """Drop within-journal self-citations (the main diagonal); zeros come out +0.0, never stored."""
+    rows, cols, weights = nonzero_arrays(z)
+    off = rows != cols
+    return from_arcs(z.labels, rows[off], cols[off], weights[off])
 
 
 def row_sums(z: CitationMatrix) -> np.ndarray:

@@ -99,7 +99,11 @@ def load_cli_corpus() -> list[dict]:
     tables, and passed those tables' tests on the same tree.  The ``error-*``
     cases, each an exit 1 with one ``error:`` line, and the bare carriage
     return label case were frozen later, when every CSV writer came to quote
-    a carriage return.  An intended
+    a carriage return.  The networks of up to ``DENSE_LIMIT`` nodes
+    (``bundled-as-net-jasist7``, ``fielded-1000-dense-*``) were frozen while
+    every network was still read through CSR, before ``from_arcs`` summed
+    small ones straight into a dense array; ``compare-constant-metric`` was
+    frozen when a metric's own cell stopped being computed.  An intended
     output change regenerates only the digests it affects, and the CHANGES.md
     entry of that change names each one and says why; no digest is
     regenerated wholesale.

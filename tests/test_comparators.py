@@ -289,6 +289,10 @@ class TestAlignment:
             for j, y in enumerate(metrics):
                 cell = table[i][j]
                 assert cell.x is x and cell.y is y
+                if i == j:
+                    # a metric's own cell is defined, not computed
+                    assert (cell.pearson_r, cell.spearman_rho) == (1.0, 1.0)
+                    continue
                 # bit for bit: repr round-trips every double exactly
                 assert repr(cell.pearson_r) == repr(pearson(x, y))
                 assert repr(cell.spearman_rho) == repr(spearman(x, y))
@@ -366,8 +370,12 @@ def test_undefined_results_raise_contract_error():
         with pytest.raises(ContractError, match=message):
             call()
     # bad input is a plain ValueError, not a contract violation
-    for call in (lambda: pagerank(build("A B", [[0, 1], [1, 0]]), damping=2.0),
-                 lambda: pearson(a, metric("c", "A C", [1.0, 2.0]))):
-        with pytest.raises(ValueError) as excinfo:
+    for call, message in [
+        (lambda: pagerank(build("A B", [[0, 1], [1, 0]]), damping=2.0), "damping"),
+        (lambda: pagerank(CitationMatrix((), np.zeros((0, 0)))), "at least one node"),
+        (lambda: pearson(a, metric("c", "A C", [1.0, 2.0])), "labels differ"),
+        (lambda: pearson(a, metric("c", "B A", [1.0, 2.0])), "order their labels differently"),
+    ]:
+        with pytest.raises(ValueError, match=message) as excinfo:
             call()
         assert not isinstance(excinfo.value, ContractError)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,3 +431,20 @@ def test_louvain_never_loses_to_singletons(seed):
         return
     singletons = modularity(g, list(range(n)))
     assert louvain_partition(g).q >= singletons - 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SimilarityMatrix(("A", "B"), [[1.0, np.nan], [np.nan, 1.0]]),
+         "similarities must be finite"),
+        (lambda: Partition(("a", "b"), (0,), 0.0), "community assignment must cover every node"),
+        (lambda: modularity(TWO_TRIANGLES, {i: 0 for i in range(5)}),
+         "partition is missing node 5"),
+        (lambda: louvain_partition(UndirectedGraph((), ())), "graph must have at least one node"),
+    ],
+    ids=["similarity-nan", "partition-too-few-ids", "modularity-missing-node", "louvain-no-nodes"],
+)
+def test_malformed_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -261,6 +261,11 @@ class TestTraceCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_trace_csv(text)
 
+    def test_short_row(self):
+        text = "label,k,power,weakness,ratio\nA,1,1.0,1.0,1.0\nB,1,1.0\n"
+        with pytest.raises(ParseError, match="^line 3: expected 5 cells, got 3$"):
+            read_trace_csv(text)
+
     def test_label_major_ordering(self):
         z = build("A B", [[1, 3], [2, 2]])
         lines = write_trace_csv(pwr_trace(z, PwrOptions(k_max=2))).splitlines()

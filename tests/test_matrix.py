@@ -15,6 +15,7 @@ from pwrkit import (
     CitationMatrix,
     NodeSet,
     citation_factor,
+    citing_threshold_subset,
     column_sums,
     extract_subgraph,
     grand_total,
@@ -30,7 +31,7 @@ from pwrkit import (
 from pwrkit import matrix
 from pwrkit.matrix import nonzero_arrays
 
-from . import reference_formats
+from . import reference_formats, reference_matrix
 from .conftest import build
 
 
@@ -438,3 +439,62 @@ def test_storage_independent_results_are_the_same_bits_on_both_storages(z, data)
         assert write_csv_matrix(b) == write_csv_matrix(a)
         assert write_pajek(b) == write_pajek(a)
     assert factor.values.tobytes() == citation_factor(z).values.tobytes()
+
+
+@st.composite
+def arc_arrays(draw, max_n: int = 6):
+    """0-based arcs of an n-node network, as ``read_pajek`` hands them to
+    ``from_arcs``: integer weights with arcs repeated (rows of more than 16
+    arcs included), or arbitrary weights with no arc repeated."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if draw(st.booleans()):
+        arcs = draw(st.lists(ends, max_size=60))
+        weight = st.one_of(st.integers(0, 3), st.integers(0, 2**40)).map(float)
+    else:
+        arcs = draw(st.lists(ends, unique=True, max_size=n * n))
+        weight = WEIGHTS
+    weights = draw(st.lists(weight, min_size=len(arcs), max_size=len(arcs)))
+    rows, cols = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
+    return tuple(f"J{i}" for i in range(n)), rows, cols, np.array(weights, dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_arrays())
+@example(((), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)))
+@example((("A", "B"), np.zeros(20, np.int64), np.ones(20, np.int64), np.arange(20.0)))
+def test_dense_from_arcs_has_the_bits_of_the_csr_route(arcs):
+    z = matrix.from_arcs(*arcs)
+    assert not z.is_sparse
+    assert z.entries.tobytes() == reference_matrix.from_arcs(*arcs).to_dense().tobytes()
+    with csr_storage():
+        csr, expected = matrix.from_arcs(*arcs), reference_matrix.from_arcs(*arcs)
+    assert csr.is_sparse and csr == expected == z
+    assert csr.to_dense().tobytes() == z.entries.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_weight_matrices())
+def test_zero_diagonal_matches_the_forked_oracle_on_both_storages(z):
+    got, expected = zero_diagonal(z), reference_matrix.zero_diagonal(z)
+    assert not got.is_sparse and got == expected
+    # a -0 cell comes out +0.0, so compare values, not bits
+    assert got.to_dense().tolist() == expected.to_dense().tolist()
+    assert not np.signbit(got.entries).any()
+    for m in (stored_as_csr(z), stored_cell_by_cell(z)):
+        with csr_storage():
+            got, expected = zero_diagonal(m), reference_matrix.zero_diagonal(m)
+        assert got.is_sparse and got == expected == zero_diagonal(z)
+        assert got.to_dense().tobytes() == expected.to_dense().tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(edge_weight_matrices(), st.data())
+def test_citing_threshold_subset_matches_the_forked_oracle_on_both_storages(z, data):
+    if not z.n:
+        return
+    target = data.draw(st.sampled_from(z.labels))
+    min_count = data.draw(st.one_of(WEIGHTS, st.sampled_from([-1.0, -np.inf, np.inf])))
+    for m in (z, stored_as_csr(z), stored_cell_by_cell(z)):
+        expected = reference_matrix.citing_threshold_subset(m, target, min_count)
+        assert citing_threshold_subset(m, target, min_count) == expected

@@ -2,10 +2,11 @@
 
 Most runs are one short subcommand on a small matrix, so the import of
 ``pwrkit.cli`` is a large share of each.  A matrix of up to ``DENSE_LIMIT``
-nodes read from CSV is stored dense and runs on numpy alone, so no scipy
-module may load at start-up or during a dense run of any subcommand but
-``scc``.  ``scipy.sparse``, which costs as much to import as numpy, loads on
-the first CSR matrix (every network file builds one); ``scipy.sparse.csgraph``
+nodes is stored dense and runs on numpy alone, whether it was read from CSV
+or from a Pajek network, so no scipy module may load at start-up or during
+a dense run of any subcommand but ``scc``.  ``scipy.sparse``, which costs as
+much to import as numpy, loads on the first CSR matrix (one above
+``DENSE_LIMIT`` nodes, whatever the file format); ``scipy.sparse.csgraph``
 loads when ``scc`` runs; ``scipy.stats`` is never used.
 """
 
@@ -43,6 +44,11 @@ commands = [
     ["compare", "--input", "jasist_plus.csv", "--self-citations", "exclude",
      "--external", "sjr=sjr2013.csv"],
     ["convert", "--input", "jasist_plus.csv", "--output", "matrix.net"],
+    ["pwr", "--input", "matrix.net", "--self-citations", "exclude", "--plot", "net.svg"],
+    ["subset", "--input", "matrix.net", "--target", "JASIST", "--min", "300"],
+    ["decompose", "--input", "matrix.net", "--cosine-threshold", "0.01"],
+    ["compare", "--input", "matrix.net", "--self-citations", "exclude"],
+    ["convert", "--input", "matrix.net", "--output", "back.csv"],
 ]
 for argv in commands:
     code = pwrkit.cli.main(argv)
@@ -52,8 +58,10 @@ for argv in commands:
 
 SPARSE_RUN = HELPERS + """
 import pwrkit.cli
-from pwrkit import read_pajek
-read_pajek('*Vertices 2\\n1 "A"\\n2 "B"\\n*Arcs\\n1 2 3\\n')
+from pwrkit import DENSE_LIMIT, read_pajek
+n = DENSE_LIMIT + 1
+vertices = "".join(f'{v} "J{v}"\\n' for v in range(1, n + 1))
+read_pajek(f"*Vertices {n}\\n{vertices}*Arcs\\n1 2 3\\n")
 assert "scipy.sparse" in sys.modules
 assert "scipy.sparse.csgraph" not in sys.modules
 assert "scipy.stats" not in sys.modules
@@ -84,5 +92,5 @@ def test_import_and_dense_commands_load_no_scipy(tmp_path):
 
 
 def test_cli_import_leaves_stats_and_csgraph_unloaded_until_scc(tmp_path):
-    # a network file loads scipy.sparse, but neither stats nor csgraph
+    # a network above DENSE_LIMIT loads scipy.sparse, but neither stats nor csgraph
     run_fresh(SPARSE_RUN, tmp_path)
