@@ -105,7 +105,10 @@ def pagerank(
     if not np.isfinite(cols).all():
         raise ContractError("column sums overflow double range; pagerank is undefined")
     dangling = cols == 0.0
-    inverse = np.divide(1.0, cols, out=np.zeros_like(cols), where=~dangling)
+    with np.errstate(over="ignore"):
+        inverse = np.divide(1.0, cols, out=np.zeros_like(cols), where=~dangling)
+    if not np.isfinite(inverse).all():
+        raise ContractError("a column sum is too small to invert; pagerank is undefined")
     if z.is_sparse:
         from scipy import sparse  # loaded already: z holds a csr_array
 
@@ -191,13 +194,17 @@ def _aligned_values(x: MetricVector, y: MetricVector) -> tuple[np.ndarray, np.nd
 def _pearson_of(a: np.ndarray, b: np.ndarray) -> float:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ContractError("correlation inputs must be finite")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    sa = float(np.sqrt((ac * ac).sum()))
-    sb = float(np.sqrt((bc * bc).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac = a - a.mean()
+        bc = b - b.mean()
+        sa = float(np.sqrt((ac * ac).sum()))
+        sb = float(np.sqrt((bc * bc).sum()))
+        cross = float((ac * bc).sum())
+    if not all(map(math.isfinite, (sa, sb, sa * sb, cross))):
+        raise ContractError("correlation inputs overflow double range")
     if sa == 0.0 or sb == 0.0:
         raise ContractError("correlation is undefined for a zero-variance input")
-    r = float((ac * bc).sum() / (sa * sb))
+    r = cross / (sa * sb)
     return max(-1.0, min(1.0, r))
 
 

@@ -19,8 +19,8 @@ takes 12 bytes.
   one BLAS call for a dense matrix; for CSR, a block of rows (about
   ``_CHUNK`` products) at a time, each block cut to its positive strict
   upper triangle as it is made.  The dots become similarities in place.
-- The threshold graph keeps the pairs above tau and checks them a
-  ``_CHUNK`` at a time.
+- The threshold graph keeps the pairs above tau as they are: similarity
+  pairs are valid edges by construction, so the graph checks none of them.
 - The modularity optimizer works on CSR adjacency arrays, 10 bytes per
   directed entry (n loops plus both ends of every edge), placed a chunk of
   edges at a time and collapsed a block of rows at a time; modularity
@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import ContractError, SelfCitations
-from .matrix import CitationMatrix, Entries, NodeSet, nonzero_arrays, zero_diagonal
+from .matrix import CitationMatrix, Entries, NodeSet, zero_diagonal
 
 # Gains closer than this are treated as equal so float noise cannot flip
 # deterministic tie-breaks.
@@ -100,8 +100,8 @@ class SimilarityMatrix:
     """Symmetric pairwise similarities in [0, 1] over labelled nodes.
 
     Stored sparsely: ``pairs`` holds the nonzero similarities above the
-    diagonal in row-major order and ``diagonal`` the self-similarities.  The
-    dense ``values`` matrix is built when first read.
+    diagonal in row-major order, with ``_node_dtype(n)`` ids, and ``diagonal``
+    the self-similarities.  The dense ``values`` matrix is built when first read.
     """
 
     def __init__(self, labels: Sequence[str], values: object) -> None:
@@ -115,7 +115,7 @@ class SimilarityMatrix:
             raise ValueError("similarities must lie in [0, 1]")
         if not np.array_equal(vals, vals.T):
             raise ValueError("similarity matrix must be symmetric")
-        rows, cols = np.nonzero(np.triu(vals, k=1))
+        rows, cols = (ids.astype(_node_dtype(n)) for ids in np.nonzero(np.triu(vals, k=1)))
         self._init(labels, EdgeList(rows, cols, vals[rows, cols]), np.diag(vals).copy())
         self._values = vals.copy()
         self._values.flags.writeable = False
@@ -124,7 +124,7 @@ class SimilarityMatrix:
     def _from_pairs(
         cls, labels: Sequence[str], pairs: EdgeList, diagonal: np.ndarray
     ) -> SimilarityMatrix:
-        """Wrap row-major pairs with i < j and similarities in [0, 1]."""
+        """Wrap row-major ``_node_dtype`` pairs with i < j and similarities in [0, 1]."""
         if not np.isfinite(pairs.w).all():
             raise ContractError("similarities must be finite")
         obj = cls.__new__(cls)
@@ -168,58 +168,28 @@ def _edge_arrays(edges: Iterable[tuple[int, int, float]]) -> EdgeList:
     return EdgeList(_index_array(i), _index_array(j), np.array(w, dtype=np.float64))
 
 
-def _pair_keys(low: np.ndarray, high: np.ndarray, n: int) -> np.ndarray:
-    """``low * n + high`` in the narrowest unsigned dtype holding n^2 keys."""
-    key = low.astype(_node_dtype(n * n))
-    key *= n
-    key += high
-    return key
-
-
 def _validated(edges: EdgeList, n: int) -> EdgeList:
     """Edges with i < j as ``_node_dtype(n)`` ids; otherwise the error for the
-    first bad edge in input order.
-
-    Edges are checked a ``_CHUNK`` at a time, up to the first one that is out
-    of range, a self-loop or not of positive finite weight.  A duplicate is
-    reported at its later occurrence, and keys ``low * n + high`` that rise
-    strictly hold none, so keys are sorted only when they fail to rise, and
-    only up to that first bad edge.
+    first bad edge in input order: one out of range, a self-loop, one not of
+    positive finite weight, or a duplicate, reported at its later occurrence.
     """
     i, j, w = edges.i, edges.j, edges.w
-    low = np.zeros(len(w), dtype=_node_dtype(n))
-    high = np.zeros_like(low)
-    rising, last, bad_at = True, None, None
-    for start in range(0, len(w), _CHUNK):
-        part = slice(start, start + _CHUNK)
-        ci, cj, cw = i[part], j[part], w[part]
-        lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
-        out_of_range = (lo < 0) | (hi >= n)
-        bad = out_of_range | (ci == cj) | (cw <= 0.0) | ~np.isfinite(cw)
-        first_bad = int(np.argmax(bad)) if bad.any() else None
-        stop = len(cw) if first_bad is None else first_bad + 1
-        # ids out of range do not fit the narrow dtype; their edge is the last
-        # one checked and is reported as out of range whatever its key
-        checked = slice(start, start + stop)
-        low[checked] = np.where(out_of_range, 0, lo)[:stop]
-        high[checked] = np.where(out_of_range, 0, hi)[:stop]
-        key = _pair_keys(low[checked], high[checked], n)
-        rising = rising and (last is None or key[0] > last) and bool((key[1:] > key[:-1]).all())
-        last = key[-1]
-        if first_bad is not None:
-            bad_at = start + first_bad
-            break
-    duplicate_at = None
-    if not rising:
-        end = len(w) if bad_at is None else bad_at + 1
-        key = _pair_keys(low[:end], high[:end], n)
-        order = np.argsort(key, kind="stable")
-        ordered = key[order]
-        repeats = order[1:][ordered[1:] == ordered[:-1]]
-        duplicate_at = int(repeats.min()) if len(repeats) else None
-    if bad_at is None and duplicate_at is None:
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    out_of_range = (lo < 0) | (hi >= n)
+    bad = out_of_range | (i == j) | (w <= 0.0) | ~np.isfinite(w)
+    # ids out of range do not fit the narrow dtype; an edge that holds one is
+    # bad, so a key it shares with a later edge is never the first fault
+    low = np.where(out_of_range, 0, lo).astype(_node_dtype(n))
+    high = np.where(out_of_range, 0, hi).astype(low.dtype)
+    key = low.astype(_node_dtype(n * n)) * n + high
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    bad_at = int(np.argmax(bad)) if bad.any() else len(w)
+    duplicate_at = int(repeats.min()) if len(repeats) else len(w)
+    k = min(bad_at, duplicate_at)
+    if k == len(w):
         return EdgeList(low, high, w)
-    k = min(at for at in (bad_at, duplicate_at) if at is not None)
     a, b = int(i[k]), int(j[k])
     lo, hi = min(a, b), max(a, b)
     if lo < 0 or hi >= n:
@@ -247,6 +217,14 @@ class UndirectedGraph:
         object.__setattr__(self, "labels", tuple(self.labels))
         edges = self.edges if isinstance(self.edges, EdgeList) else _edge_arrays(self.edges)
         object.__setattr__(self, "edges", _validated(edges, len(self.labels)))
+
+    @classmethod
+    def _from_edges(cls, labels: Sequence[str], edges: EdgeList) -> UndirectedGraph:
+        """Wrap valid edges: unique, row-major ``_node_dtype`` ids, i < j, w > 0 finite."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "labels", tuple(labels))
+        object.__setattr__(obj, "edges", edges)
+        return obj
 
     @property
     def n(self) -> int:
@@ -363,14 +341,15 @@ def _upper_gram(entries: Entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 
 def threshold_graph(similarities: SimilarityMatrix, tau: float) -> UndirectedGraph:
-    """Keep an edge {i, j} wherever similarity strictly exceeds tau."""
+    """Keep an edge {i, j} wherever similarity strictly exceeds tau; the pairs
+    above tau >= 0 are valid edges as they are, so none is checked."""
     if not math.isfinite(tau):
         raise ValueError(f"threshold must be finite, got {tau}")
     if tau < 0.0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
     pairs = similarities.pairs
     keep = pairs.w > tau
-    return UndirectedGraph(
+    return UndirectedGraph._from_edges(
         similarities.labels, EdgeList(pairs.i[keep], pairs.j[keep], pairs.w[keep])
     )
 
@@ -734,9 +713,7 @@ def citing_threshold_subset(
     row_idx = z.index_of(target)
     if math.isnan(min_count):
         raise ValueError("min_count must be a number, got nan")
-    rows, cols, weights = nonzero_arrays(z)
-    on_row = rows == row_idx
-    row = np.bincount(cols[on_row], weights[on_row], minlength=z.n)
+    row = z.entries[[row_idx]].sum(axis=0)
     qualifying = tuple(int(j) for j in np.nonzero(row >= float(min_count))[0])
     return NodeSet(z.labels, qualifying)
 

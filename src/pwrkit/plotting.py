@@ -8,6 +8,7 @@ and directly comparable in tests.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from itertools import compress
 
@@ -34,6 +35,10 @@ _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 20.0
 _MARGIN_BOTTOM = 46.0
 _LEGEND_WIDTH = 180.0
+
+# characters that XML 1.0 allows nowhere in a document, escaped or not; re
+# compiles the pattern on its first use, not on import
+_NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _escape(text: str) -> str:
@@ -72,10 +77,15 @@ def render_convergence_svg(trace: TraceTable, width: int = 820, height: int = 42
 
     Non-finite sentinel ratios are dropped from their polyline.  A trace with
     no finite ratio, or whose finite ratios span past double range or too little
-    for a tick step, cannot be drawn and raises :class:`ContractError`.
+    for a tick step, cannot be drawn and raises :class:`ContractError`.  A
+    label holding a character that XML 1.0 forbids cannot be written into the
+    chart, so it raises ``ValueError``.
     """
     if trace.k_max < 2:
         raise ContractError("plot needs a trace with k_max >= 2")
+    if re.search(_NOT_XML, "".join(trace.labels)):
+        idx, name = next((i, n) for i, n in enumerate(trace.labels) if re.search(_NOT_XML, n))
+        raise ValueError(f"node {idx}: label {name!r} holds a character XML 1.0 forbids")
     ratio_rows = trace.ratios
     finite = np.isfinite(ratio_rows)
     if not finite.any():

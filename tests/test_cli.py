@@ -96,17 +96,19 @@ def load_cli_corpus() -> list[dict]:
     Each case names an input recipe and a list of argv steps run in order in
     one directory, each step with the :func:`run_digest` it must give; the
     digests were frozen from the release whose tests kept six hand-made digest
-    tables, and passed those tables' tests on the same tree.  The ``error-*``
-    cases, each an exit 1 with one ``error:`` line, and the bare carriage
-    return label case were frozen later, when every CSV writer came to quote
-    a carriage return.  The networks of up to ``DENSE_LIMIT`` nodes
-    (``bundled-as-net-jasist7``, ``fielded-1000-dense-*``) were frozen while
-    every network was still read through CSR, before ``from_arcs`` summed
-    small ones straight into a dense array; ``compare-constant-metric`` was
-    frozen when a metric's own cell stopped being computed.  An intended
-    output change regenerates only the digests it affects, and the CHANGES.md
-    entry of that change names each one and says why; no digest is
-    regenerated wholesale.
+    tables, and passed those tables' tests on the same tree.  Every
+    ``error-*`` case exits 1 or 2 with one ``error:`` line.  The first seven
+    of them, and the bare carriage return label case, were frozen later, when
+    every CSV writer came to quote a carriage return.  The networks of up to
+    ``DENSE_LIMIT`` nodes (``bundled-as-net-jasist7``,
+    ``fielded-1000-dense-*``) were frozen while every network was still read
+    through CSR, before ``from_arcs`` summed small ones straight into a dense
+    array; ``compare-constant-metric`` was frozen when a metric's own cell
+    stopped being computed; the last three ``error-*`` cases when their
+    inputs stopped giving numpy warnings, a wrong correlation or a chart that
+    is not XML.  An intended output change regenerates only the digests it
+    affects, and the CHANGES.md entry of that change names each one and says
+    why; no digest is regenerated wholesale.
     """
     return json.loads(Path(__file__).with_name("cli_corpus.json").read_text(encoding="utf-8"))
 
@@ -970,3 +972,46 @@ def test_any_input_and_flags_end_in_an_exit_code(case, capsys, tmp_path):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == (1 if code else 0)
+
+
+# Weights at the ends of double range: zero, subnormal, tiny, plain, the
+# largest powers of ten and near the largest double.
+EXTREME_WEIGHTS = (0.0, 5e-324, 1e-310, 1.0, 3.0, 1e308, 1.7e308)
+# Every subcommand on the matrix in {src}, writing into {dir}.
+EXTREME_ARGV = (
+    ["pwr", "--plot", "{dir}/chart.svg", "--output", "{dir}/trace.csv"],
+    ["pwr", "--self-citations", "exclude", "--no-normalize", "--zero-div", "inf"],
+    ["scc", "--largest", "--output", "{dir}/core.net"],
+    ["subset", "--target", "A", "--min", "1"],
+    ["decompose"],
+    ["decompose", "--cosine-diagonal", "exclude", "--cosine-threshold", "0"],
+    ["compare"],
+    ["compare", "--self-citations", "exclude", "--metrics", "cf,pwr,pagerank"],
+    ["convert", "--output", "{dir}/m.net"],
+)
+
+
+@st.composite
+def extreme_matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    labels = "ABCD"[:n]
+    cells = st.lists(st.sampled_from(EXTREME_WEIGHTS), min_size=n, max_size=n)
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    lines = ["," + ",".join(labels)]
+    lines += [",".join([label, *map(repr, row)]) for label, row in zip(labels, rows)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=extreme_matrices())
+@example(text=",A,B\nA,0.0,1.0\nB,1e-320,0.0\n")
+@example(text=",A,B\nA,0.0,1e308\nB,3.0,0.0\n")
+def test_every_subcommand_ends_in_an_exit_code_on_extreme_weights(text, capsys, tmp_path):
+    # a numpy warning fails this test too: pytest turns RuntimeWarning into an error
+    src = _csv_file(tmp_path, text)
+    for argv in EXTREME_ARGV:
+        code = main([argv[0], "--input", src, *(arg.format(dir=tmp_path) for arg in argv[1:])])
+        _out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == (1 if code else 0), (argv, err)

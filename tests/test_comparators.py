@@ -143,6 +143,15 @@ class TestPagerank:
             with pytest.raises(ContractError, match="column sums overflow double range"):
                 pagerank(z)
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_column_sums_too_small_to_invert_are_refused(self, storage):
+        # 1 / 1e-320 overflows, and the walk would be nan from the first step
+        n = 2 if storage == "dense" else DENSE_LIMIT + 1
+        entries = sparse.csr_array(([1.0, 1e-320], ([0, 1], [1, 0])), shape=(n, n))
+        z = CitationMatrix(tuple(f"J{i}" for i in range(n)), entries)
+        with pytest.raises(ContractError, match="column sum is too small to invert"):
+            pagerank(z)
+
 
 class TestHits:
     def test_pure_hub_and_authority(self):
@@ -212,6 +221,20 @@ class TestCorrelations:
         x = metric("x", "A B", [1, np.inf])
         with pytest.raises(ValueError, match="finite"):
             pearson(x, metric("y", "A B", [1, 2]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.7e308, 0.0], [1.7e308, 1.7e308, 0.0]],
+        ids=["squares", "mean"],
+    )
+    def test_overflowing_sums_are_refused(self, values):
+        # two points in opposite order would otherwise read -0.0, not -1
+        labels = " ".join("ABC"[: len(values)])
+        x = metric("x", labels, values)
+        y = metric("y", labels, list(range(len(values)))[::-1])
+        for args in ((x, y), (y, x)):
+            with pytest.raises(ContractError, match="correlation inputs overflow double range"):
+                pearson(*args)
 
     def test_spearman_refuses_nan(self):
         # a rank that sorted NaN last would return a coefficient here

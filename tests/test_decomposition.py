@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from pwrkit import (
     CitationMatrix,
@@ -16,12 +17,14 @@ from pwrkit import (
     UndirectedGraph,
     citing_cosine_matrix,
     citing_threshold_subset,
+    decomposition,
     extract_subgraph,
     louvain_partition,
     modularity,
     threshold_graph,
     union_subset,
 )
+from pwrkit.matrix import DENSE_LIMIT
 
 from .conftest import build
 
@@ -46,6 +49,12 @@ class TestSimilarityMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="2x2"):
             SimilarityMatrix(("A", "B"), np.zeros((3, 3)))
+
+    def test_pairs_hold_narrow_node_ids(self):
+        values = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]
+        sims = SimilarityMatrix(("A", "B", "C"), values)
+        assert sims.pairs.i.dtype == sims.pairs.j.dtype == decomposition._node_dtype(3)
+        assert sims.pairs == ((0, 1, 0.5), (1, 2, 0.2))
 
 
 class TestCitingCosine:
@@ -412,6 +421,41 @@ def test_raising_threshold_never_adds_edges(seed):
     low = {(i, j) for i, j, _w in threshold_graph(sims, 0.2).edges}
     high = {(i, j) for i, j, _w in threshold_graph(sims, 0.6).edges}
     assert high <= low
+
+
+@st.composite
+def citation_matrices(draw):
+    """A random dense or CSR citation matrix with integer or decimal weights."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    csr = draw(st.booleans())
+    n = DENSE_LIMIT + draw(st.integers(1, 80)) if csr else draw(st.integers(1, 30))
+    nnz = draw(st.sampled_from([0, n // 2, 3 * n]))
+    if draw(st.booleans()):
+        weights = rng.integers(1, 9, nnz).astype(float)
+    else:
+        weights = rng.choice([0.1, 0.3, 0.7, 1.3, 2.5], size=nnz)
+    ends = (rng.integers(0, n, nnz), rng.integers(0, n, nnz))
+    entries = sparse.csr_array((weights, ends), shape=(n, n))
+    z = CitationMatrix(tuple(f"J{i}" for i in range(n)), entries if csr else entries.toarray())
+    assert z.is_sparse == csr
+    return z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    citation_matrices(),
+    st.sampled_from(["include", "exclude"]),
+    st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+)
+def test_threshold_graph_edges_pass_the_edge_check_as_they_are(z, policy, tau):
+    # threshold_graph does not check its edges; this pins why it need not
+    graph = threshold_graph(citing_cosine_matrix(z, policy), tau)
+    edges = graph.edges
+    checked = decomposition._validated(edges, graph.n)
+    assert edges.i.dtype == decomposition._node_dtype(z.n)
+    for got, want in zip((edges.i, edges.j, edges.w), (checked.i, checked.j, checked.w)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import signal
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -61,6 +62,26 @@ def test_label_markup_is_escaped():
     svg = render_convergence_svg(pwr_trace(z, PwrOptions(k_max=4)))
     assert "A&amp;B" in svg
     assert "A&B" not in svg
+
+
+def relabelled(trace: TraceTable, labels: tuple[str, ...]) -> TraceTable:
+    return TraceTable(labels, trace.powers, trace.weaknesses, trace.ratios)
+
+
+@pytest.mark.parametrize(
+    "char", ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"]
+)
+def test_label_xml_forbids_is_refused(trace, char):
+    bad = relabelled(trace, ("A", f"B{char}", "C"))
+    with pytest.raises(ValueError, match=r"^node 1: label .* holds a character XML 1.0 forbids$"):
+        render_convergence_svg(bad)
+
+
+def test_labels_with_characters_xml_allows_parse_back(trace):
+    names = ("tab\there", "line\nbreak", "\x7f\x85\ud7ff\ue000\ufffd\U00010000<&>")
+    svg = render_convergence_svg(relabelled(trace, names))
+    legend = minidom.parseString(svg).getElementsByTagName("text")
+    assert [node.firstChild.data for node in legend[-3:]] == list(names)
 
 
 def test_rejects_single_iteration():
