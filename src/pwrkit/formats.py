@@ -24,6 +24,7 @@ import itertools
 import logging
 import math
 import re
+from array import array
 from collections.abc import Iterator
 
 import numpy as np
@@ -36,10 +37,14 @@ log = logging.getLogger(__name__)
 
 _QUOTED_VERTEX = re.compile(r'^(\d+)\s+"([^"]*)"$')
 _BARE_VERTEX = re.compile(r"^(\d+)\s+(\S+)$")
-# A quoted label within one line, and plain vertex lines with their labels
-# cut out, each ended by a newline.
+# A plain head: the vertex count, the vertex lines, and the *Arcs line.  A
+# label holds no quote and no character that splitlines breaks a line at.
+_PLAIN_HEAD = re.compile(
+    r"(?ai)[ \t]*\*vertices[ \t]+([0-9]{1,15})[ \t]*\n"
+    r'((?:[ \t]*[0-9]{1,15}[ \t]+"[^"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+"[ \t]*\n)*)'
+    r"[ \t]*\*arcs[ \t]*(?:\n|\Z)"
+)
 _QUOTED_LABEL = re.compile(r'"([^"\n]*)"')
-_PLAIN_HEADS = re.compile(r'(?:[ \t]*[0-9]{1,15}[ \t]+""[ \t]*\n)*')
 # The characters that make csv_cell quote a cell.
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
@@ -49,7 +54,7 @@ METRIC_HEADER = ("label", "value")
 # Arc lines read per token list; bounds the reader's working memory.
 _CHUNK = 1 << 16
 _NO_ARCS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-# The bytes of a plain arc chunk: digits, space, tab and the newline between lines.
+# The bytes of a plain arc slice: digits, space, tab and LF.
 _PLAIN_ARC_BYTES = b"0123456789 \t\n"
 
 
@@ -80,19 +85,46 @@ def _number_cells(values: np.ndarray) -> list[str]:
 def read_pajek(text: str) -> CitationMatrix:
     """Parse a network file with ``*Vertices`` and ``*Arcs`` sections.
 
-    Each vertex section and each chunk of arc lines is read either in bulk or
-    one line at a time.  A vertex section is read in bulk when the n lines
-    after its header read ``<id> "<label>"`` with ASCII ids 1..n in order,
-    nonempty labels, spaces or tabs around the fields, and a section line (or
-    the end) next.  A chunk of arc lines is read in bulk when it is ASCII and
-    each line holds three digit runs of at most 15 digits, separated by spaces
-    or tabs, with both endpoints in 1..n.  Any other section or chunk is read
-    line by line, which also raises the positioned errors; on input both
-    routes take, they return the same labels and arrays.
+    Lines may end in LF, CR LF or CR.  A file is read in bulk when its head
+    is plain: a ``*Vertices n`` line, n lines ``<id> "<label>"`` with ASCII
+    ids 1..n in order and nonempty labels, then an ``*Arcs`` line, with spaces
+    or tabs around the fields.  Its arc lines are then read in bulk, a slice
+    at a time, while each line holds three ASCII digit runs of at most 15
+    digits, separated by spaces or tabs, with both endpoints in 1..n.  Lines
+    are read one at a time, which also raises the positioned errors, in the
+    whole file when its head is not plain, else from the first slice that is
+    not; on input both routes take, they return the same labels and arrays.
     """
-    lines = text.lstrip("\ufeff").splitlines()
-    first = _next_content(lines, 0)
-    if first is None:
+    # splitlines counts CR LF, and a CR alone, as one break each, so making
+    # each a LF moves no line; then every line the bulk route reads ends in LF
+    text = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    head = _PLAIN_HEAD.match(text)
+    labels = head and _plain_labels(head)
+    if labels is None:
+        labels, (src, dst, weight) = _read_lines(text.splitlines())
+    else:
+        src, dst, weight = _read_arcs(text, head.end(), len(labels))
+    try:
+        return from_arcs(labels, src - 1, dst - 1, weight)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _plain_labels(head: re.Match) -> tuple[str, ...] | None:
+    """The labels of a plain head, or None when its ids are not 1..n in order.
+
+    The labels come from ``findall``, not from a split on ``"``: a split
+    leaves the freed parts between the kept labels, and that fragmented heap
+    raised the benchmark's peak RSS at n = 100,000 from 249 to 269 MB.
+    """
+    ids = np.fromstring(_QUOTED_LABEL.sub(" ", head[2]), dtype=np.int64, sep=" ")
+    plain = len(ids) == int(head[1]) and (ids == np.arange(1, len(ids) + 1)).all()
+    return tuple(_QUOTED_LABEL.findall(head[2])) if plain else None
+
+
+def _read_lines(lines: list[str]) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+    """The labels and the arc arrays of a whole file, read one line at a time."""
+    if (first := _next_content(lines, 0)) is None:
         raise ParseError("empty input; expected a *Vertices section")
     line_no, content = first
     tokens = content.split()
@@ -105,24 +137,14 @@ def read_pajek(text: str) -> CitationMatrix:
     if n < 0:
         raise ParseError(f"vertex count must be >= 0, got {n}", line_no)
 
-    labels, section = _plain_vertices(lines, line_no, n) or _vertex_lines(lines, line_no, n)
+    labels, section = _vertex_lines(lines, line_no, n)
     if section is None:
         log.warning("network file has no *Arcs section; matrix is all zeros")
-        src, dst, weight = _NO_ARCS
-    else:
-        line_no, content = section
-        if content.split()[0].lower() != "*arcs":
-            raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
-        src, dst, weight = _read_arcs(lines, line_no, n)
-    try:
-        return from_arcs(labels, src - 1, dst - 1, weight)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-# A vertex section read: the labels, and the next section line as
-# (line number, stripped text), or None at the end of the file.
-_Vertices = tuple[tuple[str, ...], tuple[int, str] | None]
+        return labels, _NO_ARCS
+    line_no, content = section
+    if content.split()[0].lower() != "*arcs":
+        raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
+    return labels, _arc_lines(lines[line_no:], line_no + 1, n)
 
 
 def _next_content(lines: list[str], pos: int) -> tuple[int, str] | None:
@@ -136,35 +158,11 @@ def _next_content(lines: list[str], pos: int) -> tuple[int, str] | None:
     return None
 
 
-def _plain_vertices(lines: list[str], start: int, n: int) -> _Vertices | None:
-    """The labels and the next section line, or None when the vertex section
-    from ``lines[start]`` is not plain (see :func:`read_pajek`).
-
-    The n lines are joined, the quoted labels are cut out, and one anchored
-    pattern checks what is left of every line at once.  The labels come from
-    ``findall``, not from a split on ``"``: a split leaves the freed parts
-    between the kept labels, and that fragmented heap raised the benchmark's
-    peak RSS at n = 100,000 from 249 to 269 MB.
-    """
-    block = lines[start : start + n]
-    if len(block) < n:
-        return None
-    joined = "\n".join(block)
-    labels = _QUOTED_LABEL.findall(joined)
-    heads = _QUOTED_LABEL.sub('""', joined)
-    if "" in labels or not _PLAIN_HEADS.fullmatch(heads + "\n"):
-        return None
-    ids = np.fromstring(heads.replace('"', " "), dtype=np.int64, sep=" ")
-    if not np.array_equal(ids, np.arange(1, n + 1)):
-        return None
-    section = _next_content(lines, start + n)
-    if section is not None and not section[1].startswith("*"):
-        return None
-    return tuple(labels), section
-
-
-def _vertex_lines(lines: list[str], start: int, n: int) -> _Vertices:
-    """The labels and the next section line, read one vertex line at a time."""
+def _vertex_lines(
+    lines: list[str], start: int, n: int
+) -> tuple[tuple[str, ...], tuple[int, str] | None]:
+    """The labels and the next section line as (line number, stripped text),
+    or None at the end of the file, read one vertex line at a time."""
     names: dict[int, str] = {}
     while (item := _next_content(lines, start)) is not None:
         line_no, content = item
@@ -195,63 +193,63 @@ def _missing_ids(names: dict[int, str], n: int) -> str:
     return f"{first} (and {more} more)" if more else str(first)
 
 
-def _read_arcs(lines: list[str], start: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arc lines ``lines[start:]`` as 1-based (src, dst) and weight arrays.
+def _read_arcs(text: str, start: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arc lines of ``text[start:]`` as 1-based (src, dst) and weight arrays.
 
-    Each chunk of lines is read in bulk when plain, otherwise one line at a
-    time.  Chunks are read in order and each passes every check before the
-    next is read, so the first error raised names the section's first bad line.
+    Slices of ``8 * _CHUNK`` characters (about ``_CHUNK`` lines), each cut
+    just after a LF, are read in bulk while they are plain.  From the first
+    slice that is not, the rest is read one line at a time; every line before
+    it ends in a LF and holds no other line break, so counting LFs numbers it.
     """
     parts = []
-    for lo in range(start, len(lines), _CHUNK):
-        chunk = lines[lo : lo + _CHUNK]
-        parts.append(_plain_arcs(chunk, n) or _arc_lines(chunk, lo + 1, n))
+    while start < len(text):
+        stop = text.find("\n", start + 8 * _CHUNK) + 1 or len(text)
+        parts.append(_plain_arcs(text[start:stop], n))
+        if parts[-1] is None:
+            parts[-1] = _arc_lines(text[start:].splitlines(), text.count("\n", 0, start) + 1, n)
+            break
+        start = stop
     # the empty arrays keep the dtypes when the section has no arc lines
     src, dst, weight = (np.concatenate(column) for column in zip(*parts, _NO_ARCS))
     return src, dst, weight
 
 
-def _plain_arcs(chunk: list[str], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A plain chunk's arcs as arrays, or None when the chunk is not plain or
+def _plain_arcs(part: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A plain slice's arcs as arrays, or None when the slice is not plain or
     an endpoint falls outside 1..n.
 
     Plain means ASCII digits, spaces and tabs only, with three digit runs of
     at most 15 digits on each line, so every number is an exact int64 and an
-    exact float64.  The checks run on the chunk's bytes, and one
+    exact float64.  The checks run on the slice's bytes, and one
     ``np.fromstring`` converts all its numbers.
     """
-    text = "\n".join(chunk)
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
+    raw = part.encode("ascii", "replace")  # "?" for any other character
     if raw.translate(None, _PLAIN_ARC_BYTES):
         return None
-    data = np.frombuffer(raw, dtype=np.uint8)
+    # the LF that ends the last line separates no lines
+    data = np.frombuffer(raw, dtype=np.uint8)[: len(raw) - raw.endswith(b"\n")]
     # digit runs start and stop where the digit flag flips; uint8 wraps below "0"
     flips = np.flatnonzero(np.diff((data - ord("0")) < 10, prepend=False, append=False))
     starts, stops = flips[0::2], flips[1::2]
-    if len(starts) != 3 * len(chunk) or (stops - starts).max() > 15:
+    newlines = np.flatnonzero(data == ord("\n"))
+    if len(starts) != 3 * (len(newlines) + 1) or (stops - starts).max() > 15:
         return None
     # line i holds runs 3i..3i+2: its newline falls after run 3i+2, before run 3i+3
-    newlines = np.flatnonzero(data == ord("\n"))
     if not ((starts[2:-1:3] < newlines).all() and (newlines < starts[3::3]).all()):
         return None
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    values = np.fromstring(part, dtype=np.int64, sep=" ")
     src, dst = values[0::3], values[1::3]
     if min(src.min(), dst.min()) < 1 or max(src.max(), dst.max()) > n:
         return None
     return src, dst, values[2::3].astype(np.float64)
 
 
-def _arc_lines(
-    chunk: list[str], first_line_no: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A chunk's arcs as arrays, read one line at a time from line number
-    ``first_line_no``; raises the positioned error for the first line rejected."""
-    src: list[int] = []
-    dst: list[int] = []
-    weight: list[float] = []
-    for line_no, line in enumerate(chunk, start=first_line_no):
+def _arc_lines(lines: list[str], first: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arc lines as arrays, read one line at a time from line number ``first``;
+    raises the positioned error for the first line rejected."""
+    # arrays, not lists: 24 bytes an arc, however long the section
+    src, dst, weight = array("q"), array("q"), array("d")
+    for line_no, line in enumerate(lines, start=first):
         content = line.strip()
         if not content or content.startswith("%"):
             continue

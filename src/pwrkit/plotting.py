@@ -39,10 +39,12 @@ _LEGEND_WIDTH = 180.0
 # characters that XML 1.0 allows nowhere in a document, escaped or not; re
 # compiles the pattern on its first use, not on import
 _NOT_XML = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+# &, < and > as markup needs them, and CR as a reference: XML reads a bare CR as LF
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
 
 
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_XML_TEXT)
 
 
 def _tick_step(span: float) -> float:

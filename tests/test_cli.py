@@ -104,11 +104,13 @@ def load_cli_corpus() -> list[dict]:
     ``fielded-1000-dense-*``) were frozen while every network was still read
     through CSR, before ``from_arcs`` summed small ones straight into a dense
     array; ``compare-constant-metric`` was frozen when a metric's own cell
-    stopped being computed; the last three ``error-*`` cases when their
+    stopped being computed; the three ``error-*`` cases after it when their
     inputs stopped giving numpy warnings, a wrong correlation or a chart that
-    is not XML.  An intended output change regenerates only the digests it
-    affects, and the CHANGES.md entry of that change names each one and says
-    why; no digest is regenerated wholesale.
+    is not XML; and the last three cases, a CR LF network, one ending in a
+    comment and a label holding a carriage return, before the Pajek reader
+    stopped splitting its whole text into lines.  An intended output change
+    regenerates only the digests it affects, and the CHANGES.md entry of that
+    change names each one and says why; no digest is regenerated wholesale.
     """
     return json.loads(Path(__file__).with_name("cli_corpus.json").read_text(encoding="utf-8"))
 

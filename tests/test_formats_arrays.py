@@ -1,16 +1,17 @@
 """The Pajek reader's two routes and the row-streamed writers against references.
 
-``read_pajek`` reads each vertex section and each chunk of arc lines either
-in bulk or line by line.  A differential property holds it to the
-line-by-line reader in ``reference_formats``: on mutated vertex and arc
-sections both return the same matrix, bit for bit, or raise the same
+``read_pajek`` reads a file with a plain head in bulk, its arc section a
+slice at a time, and line by line from the first slice that is not plain,
+or the whole file when the head is not.  A differential property holds it
+to the line-by-line reader in ``reference_formats``: on mutated vertex and
+arc sections both return the same matrix, bit for bit, or raise the same
 message.  It runs at the default chunk size and at one so small that every
-section spans several chunks and a bad line may sit in a chunk after ones
-that were read in bulk.  At the default size, a section whose plain chunks
-alternate with ones that only the per-line route reads must match too.  A
-benchmark-shaped file must take the bulk routes.  Memory guards keep the
-reader from holding a whole-file token list and the CSV writer from holding
-an n x n array.
+section spans several slices and a bad line may sit in a slice after ones
+that were read in bulk.  At the default size, a section whose plain lines
+are followed by ones that only the per-line route reads must match too, with
+that route entered once.  A benchmark-shaped file and its CR LF copy must
+take the bulk routes.  Memory guards keep the reader from holding a
+whole-file token list and the CSV writer from holding an n x n array.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from pwrkit.matrix import DENSE_LIMIT
 
 from . import reference_formats as ref
 
-# Arc lines per token list: the default, and one small enough that every
-# generated section spans several chunks.
+# Arc lines per slice, about: the default, and one small enough that every
+# generated section spans several slices.
 CHUNKS = [
     pytest.param(formats._CHUNK, id="default"),
     pytest.param(4, id="small-chunk"),
@@ -150,6 +151,21 @@ def outcome(reader, text: str):
 @example(text='*Vertices 2\n2 "B"\n1 "A"\n*Arcs\n1 2 3\n')
 @example(text='*Vertices 2\n1 "A"\n2 ""\n*Arcs\n1 2 3\n')
 @example(text='*Vertices 2\n1 "A"\n2 "B"\n3 "C"\n*Arcs\n1 2 3\n')
+# a label holding each line break splitlines knows besides LF, and a plain arc
+# section up to a line with one: the bulk route must stop before the break, or
+# the line numbers the per-line route starts from would be wrong
+@example(text='*Vertices 2\n1 "A\rB"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\vB"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\fB"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\x1cB"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\x1dB"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\x1eB"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\x85B"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\u2028B"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A\u2029B"\n2 "C"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n' + "1 2 3\n" * 8 + "2 1 1\x85\n1 1 x\n")
+# CR CR LF is two breaks: CR LF made LF must not turn it into one CR LF
+@example(text='*Vertices 2\r\r\n1 "A"\n2 "B"\n*Arcs\n1 2 x\n')
 def test_reader_matches_line_by_line_reference(chunk, text):
     with chunked(chunk):
         assert outcome(read_pajek, text) == outcome(ref.read_pajek, text)
@@ -192,6 +208,19 @@ def test_plain_sections_take_the_bulk_path():
         assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
 
 
+def test_cr_lf_copy_of_plain_sections_takes_the_bulk_path():
+    text = fields_text(30_000, seed=0).replace("\n", "\r\n")
+    expected = ref.read_pajek(text)
+    slow = AssertionError("a plain CR LF section took the line-by-line route")
+    with mock.patch.object(formats, "_arc_lines", side_effect=slow), mock.patch.object(
+        formats, "_vertex_lines", side_effect=slow
+    ):
+        z = read_pajek(text)
+    assert z.is_sparse and z.labels == expected.labels
+    for part in ("indptr", "indices", "data"):
+        assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
+
+
 def mixed_chunks_text(bad_endpoint: bool = False) -> str:
     """A CSR-sized network whose arc section spans four chunks at the default
     size: plain with CRLF ends, decimal weights and comments, plain (with one
@@ -216,11 +245,11 @@ def test_chunks_of_both_kinds_match_reference_at_default_size():
     expected = ref.read_pajek(text)
     with mock.patch.object(formats, "_arc_lines", wraps=formats._arc_lines) as per_line:
         z = read_pajek(text)
-    # chunks 1 and 3 hold decimal weights or comments; chunks 0 and 2 are plain
-    assert [call.args[1] for call in per_line.call_args_list] == [
-        DENSE_LIMIT + 3 + formats._CHUNK + 1,
-        DENSE_LIMIT + 3 + 3 * formats._CHUNK + 1,
-    ]
+    # the per-line route is entered once, at the slice holding the first
+    # decimal weight; the plain lines before that slice are read in bulk
+    [call] = per_line.call_args_list
+    first_decimal = DENSE_LIMIT + 3 + formats._CHUNK + 1
+    assert first_decimal - formats._CHUNK < call.args[1] <= first_decimal
     assert z.is_sparse and z.labels == expected.labels
     for part in ("indptr", "indices", "data"):
         assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
@@ -246,9 +275,10 @@ def test_reader_keeps_no_whole_file_token_list():
     finally:
         tracemalloc.stop()
     assert z.is_sparse
-    # lines, one chunk of tokens and the matrix need about 12x; the line-by-line
-    # reader needed 15.5x and a token list of the whole file needs 20x
-    assert peak < 14 * len(text)
+    # one slice of tokens, the arc arrays and the matrix need about 6.5x; a
+    # list of the file's lines took it to 11x, the line-by-line reader needed
+    # 15.5x and a token list of the whole file needs 20x
+    assert peak < 8 * len(text)
 
 
 def test_csv_writer_holds_no_square_array():

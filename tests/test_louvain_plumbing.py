@@ -6,9 +6,9 @@ chunk of edges or a block of rows at a time; the properties here hold every
 oracles in ``reference_decomposition`` byte for byte, on shuffled and
 row-major edge orders, isolated nodes, both ``_aggregate`` routes, chunk
 sizes that split rows and edges, and node counts on either side of the
-uint16 key width.  The chunked edge check and modularity are held to their
-one-shot forms the same way: the same ids, the same error for the first bad
-edge, the same bits of Q.  Memory tests bound ``louvain_partition``'s traced
+uint16 key width.  The edge check and the chunked modularity are held to
+their one-shot forms the same way: the same ids, the same error for the first
+bad edge, the same bits of Q.  Memory tests bound ``louvain_partition``'s traced
 peak per level-0 entry and the whole chain's per kept similarity pair.
 """
 
@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pwrkit import (
@@ -213,37 +213,25 @@ def edges_with_faults(draw):
     return n, edges
 
 
+def past_valid(fault, later):
+    """Eight nodes: nine valid edges, then ``fault``, one more valid edge, and
+    ``later``, a second fault of another kind."""
+    valid = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
+    return 8, valid + [(4, 5, 1.0), (4, 7, 1.0), (5, 6, 1.0), fault, (5, 7, 1.0), later]
+
+
 @settings(max_examples=300, deadline=None)
-@given(edges_with_faults(), CHUNK_SIZES)
-def test_chunked_edge_check_matches_the_one_shot_check(drawn, chunk):
+@given(edges_with_faults())
+@example(past_valid((9, 0, 1.0), (0, 0, 1.0)))  # edge (9, 0) out of range for 8 nodes
+@example(past_valid((5, 5, 1.0), (9, 0, 1.0)))  # self-loop on node 5 is not supported
+@example(past_valid((2, 0, 1.0), (9, 0, 1.0)))  # duplicate edge (0, 2)
+@example(past_valid((2, 0, -1.0), (6, 6, 1.0)))  # duplicate edge (0, 2)
+@example(past_valid((4, 6, 0.0), (1, 0, 1.0)))  # edge (4, 6) must have positive finite weight
+def test_edge_check_matches_the_one_shot_check(drawn):
     n, edges = drawn
     assume(edges)
-    with chunked(chunk):
-        got, want = edge_check(edges, n)
+    got, want = edge_check(edges, n)
     assert got == want
-
-
-VALID = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
-
-
-@pytest.mark.parametrize(
-    "fault, later, message",
-    [
-        ((9, 0, 1.0), (0, 0, 1.0), "edge (9, 0) out of range for 8 nodes"),
-        ((5, 5, 1.0), (9, 0, 1.0), "self-loop on node 5 is not supported"),
-        ((2, 0, 1.0), (9, 0, 1.0), "duplicate edge (0, 2)"),
-        ((2, 0, -1.0), (6, 6, 1.0), "duplicate edge (0, 2)"),
-        ((4, 6, 0.0), (1, 0, 1.0), "edge (4, 6) must have positive finite weight"),
-    ],
-    ids=["out-of-range", "self-loop", "duplicate", "duplicate-and-weight", "weight"],
-)
-def test_edge_check_names_the_first_bad_edge_past_the_first_chunk(fault, later, message):
-    # chunks of three put the fault in the fourth chunk and a second fault,
-    # of another kind, after it
-    edges = VALID + [(4, 5, 1.0), (4, 7, 1.0), (5, 6, 1.0), fault, (5, 7, 1.0), later]
-    with chunked(3):
-        got, want = edge_check(edges, 8)
-    assert got == want == message
 
 
 @st.composite

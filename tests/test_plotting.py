@@ -77,11 +77,12 @@ def test_label_xml_forbids_is_refused(trace, char):
         render_convergence_svg(bad)
 
 
-def test_labels_with_characters_xml_allows_parse_back(trace):
-    names = ("tab\there", "line\nbreak", "\x7f\x85\ud7ff\ue000\ufffd\U00010000<&>")
-    svg = render_convergence_svg(relabelled(trace, names))
+def test_labels_with_characters_xml_allows_parse_back():
+    z = build("A B C D", [[0, 2, 1, 1], [1, 0, 3, 1], [2, 1, 0, 1], [1, 1, 1, 0]])
+    names = ("tab\there", "line\nbreak", "line\nbreak\r", "\x7f\x85\ud7ff\ue000\ufffd\U00010000<&>")
+    svg = render_convergence_svg(relabelled(pwr_trace(z, PwrOptions(k_max=8)), names))
     legend = minidom.parseString(svg).getElementsByTagName("text")
-    assert [node.firstChild.data for node in legend[-3:]] == list(names)
+    assert [node.firstChild.data for node in legend[-4:]] == list(names)
 
 
 def test_rejects_single_iteration():
