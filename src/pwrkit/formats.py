@@ -37,14 +37,10 @@ log = logging.getLogger(__name__)
 
 _QUOTED_VERTEX = re.compile(r'^(\d+)\s+"([^"]*)"$')
 _BARE_VERTEX = re.compile(r"^(\d+)\s+(\S+)$")
-# A plain head: the vertex count, the vertex lines, and the *Arcs line.  A
-# label holds no quote and no character that splitlines breaks a line at.
-_PLAIN_HEAD = re.compile(
-    r"(?ai)[ \t]*\*vertices[ \t]+([0-9]{1,15})[ \t]*\n"
-    r'((?:[ \t]*[0-9]{1,15}[ \t]+"[^"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+"[ \t]*\n)*)'
-    r"[ \t]*\*arcs[ \t]*(?:\n|\Z)"
-)
-_QUOTED_LABEL = re.compile(r'"([^"\n]*)"')
+# A line that opens a section, at the start of the text or after a LF; after
+# the first, one is found faster by the LF before it.
+_SECTION = re.compile(r"^[ \t]*\*", re.M)
+_NEXT_SECTION = re.compile(r"\n[ \t]*\*")
 # The characters that make csv_cell quote a cell.
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
@@ -85,48 +81,51 @@ def _number_cells(values: np.ndarray) -> list[str]:
 def read_pajek(text: str) -> CitationMatrix:
     """Parse a network file with ``*Vertices`` and ``*Arcs`` sections.
 
-    Lines may end in LF, CR LF or CR.  A file is read in bulk when its head
-    is plain: a ``*Vertices n`` line, n lines ``<id> "<label>"`` with ASCII
-    ids 1..n in order and nonempty labels, then an ``*Arcs`` line, with spaces
-    or tabs around the fields.  Its arc lines are then read in bulk, a slice
-    at a time, while each line holds three ASCII digit runs of at most 15
-    digits, separated by spaces or tabs, with both endpoints in 1..n.  Lines
-    are read one at a time, which also raises the positioned errors, in the
-    whole file when its head is not plain, else from the first slice that is
-    not; on input both routes take, they return the same labels and arrays.
+    Lines may end in LF, CR LF or CR.  The head, up to the line that opens
+    the section after the vertex lines, is read one line at a time, whatever
+    it holds.  The arc lines after its ``*Arcs`` line are read in bulk, a
+    slice at a time, while each line holds three ASCII digit runs of at most
+    15 digits, separated by spaces or tabs, with both endpoints in 1..n; from
+    the first slice that is not plain, the rest is read one line at a time.
+    Only the line-by-line reads raise errors, so each names the line it is
+    on; on input both arc routes take, they return the same arrays.
     """
     # splitlines counts CR LF, and a CR alone, as one break each, so making
-    # each a LF moves no line; then every line the bulk route reads ends in LF
+    # each a LF moves no line
     text = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    head = _PLAIN_HEAD.match(text)
-    labels = head and _plain_labels(head)
-    if labels is None:
-        labels, (src, dst, weight) = _read_lines(text.splitlines())
+    # the head ends with the LF line that opens the second section
+    first = _SECTION.search(text)
+    second = first and _NEXT_SECTION.search(text, first.end())
+    stop = (text.find("\n", second.end()) + 1 or len(text)) if second else len(text)
+    lines = text[:stop].splitlines()
+    labels, section = _read_head(lines)
+    if section is None:
+        log.warning("network file has no *Arcs section; matrix is all zeros")
+        src, dst, weight = _NO_ARCS
     else:
-        src, dst, weight = _read_arcs(text, head.end(), len(labels))
+        line_no, content = section
+        if content.split()[0].lower() != "*arcs":
+            raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
+        # with CR LF gone every line break is one character, so the arcs start
+        # just after the section line's break
+        start = sum(map(len, itertools.islice(lines, line_no))) + line_no
+        del lines  # the head's lines are not needed while the arcs are read
+        src, dst, weight = _read_arcs(text, start, line_no + 1, len(labels))
     try:
         return from_arcs(labels, src - 1, dst - 1, weight)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _plain_labels(head: re.Match) -> tuple[str, ...] | None:
-    """The labels of a plain head, or None when its ids are not 1..n in order.
-
-    The labels come from ``findall``, not from a split on ``"``: a split
-    leaves the freed parts between the kept labels, and that fragmented heap
-    raised the benchmark's peak RSS at n = 100,000 from 249 to 269 MB.
-    """
-    ids = np.fromstring(_QUOTED_LABEL.sub(" ", head[2]), dtype=np.int64, sep=" ")
-    plain = len(ids) == int(head[1]) and (ids == np.arange(1, len(ids) + 1)).all()
-    return tuple(_QUOTED_LABEL.findall(head[2])) if plain else None
-
-
-def _read_lines(lines: list[str]) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
-    """The labels and the arc arrays of a whole file, read one line at a time."""
-    if (first := _next_content(lines, 0)) is None:
+def _read_head(lines: list[str]) -> tuple[tuple[str, ...], tuple[int, str] | None]:
+    """The labels, and the section line after the vertex lines as (line
+    number, stripped text) or None when ``lines`` end first."""
+    for line_no, line in enumerate(lines, 1):
+        content = line.strip()
+        if content and content[0] != "%":
+            break
+    else:
         raise ParseError("empty input; expected a *Vertices section")
-    line_no, content = first
     tokens = content.split()
     if tokens[0].lower() != "*vertices" or len(tokens) != 2:
         raise ParseError(f"expected '*Vertices n', got {content!r}", line_no)
@@ -136,44 +135,28 @@ def _read_lines(lines: list[str]) -> tuple[tuple[str, ...], tuple[np.ndarray, ..
         raise ParseError(f"vertex count is not an integer: {tokens[1]!r}", line_no) from None
     if n < 0:
         raise ParseError(f"vertex count must be >= 0, got {n}", line_no)
-
-    labels, section = _vertex_lines(lines, line_no, n)
-    if section is None:
-        log.warning("network file has no *Arcs section; matrix is all zeros")
-        return labels, _NO_ARCS
-    line_no, content = section
-    if content.split()[0].lower() != "*arcs":
-        raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
-    return labels, _arc_lines(lines[line_no:], line_no + 1, n)
-
-
-def _next_content(lines: list[str], pos: int) -> tuple[int, str] | None:
-    """The first line from ``lines[pos]`` on that is neither blank nor a ``%``
-    comment, as (line number, stripped text); its line number is also the
-    index of the line after it."""
-    for i in range(pos, len(lines)):
-        stripped = lines[i].strip()
-        if stripped and not stripped.startswith("%"):
-            return i + 1, stripped
-    return None
+    return _vertex_lines(lines, line_no, n)
 
 
 def _vertex_lines(
     lines: list[str], start: int, n: int
 ) -> tuple[tuple[str, ...], tuple[int, str] | None]:
     """The labels and the next section line as (line number, stripped text),
-    or None at the end of the file, read one vertex line at a time."""
+    or None at the end of ``lines``, read one vertex line at a time from
+    ``lines[start]``."""
     names: dict[int, str] = {}
-    while (item := _next_content(lines, start)) is not None:
-        line_no, content = item
-        start = line_no
-        if content.startswith("*"):
+    section = None
+    for line_no, line in enumerate(itertools.islice(lines, start, None), start + 1):
+        content = line.strip()
+        if not content or content[0] == "%":
+            continue
+        if content[0] == "*":
+            section = line_no, content
             break
         match = _QUOTED_VERTEX.match(content) or _BARE_VERTEX.match(content)
         if match is None:
             raise ParseError(f"malformed vertex line: {content!r}", line_no)
-        vid = int(match.group(1))
-        name = match.group(2)
+        vid, name = int(match[1]), match[2]
         if not 1 <= vid <= n:
             raise ParseError(f"vertex id {vid} outside 1..{n}", line_no)
         if vid in names:
@@ -183,7 +166,7 @@ def _vertex_lines(
         names[vid] = name
     if len(names) < n:
         raise ParseError(f"vertex ids without a definition: {_missing_ids(names, n)}")
-    return tuple(names[vid] for vid in range(1, n + 1)), item
+    return tuple(map(names.__getitem__, range(1, n + 1))), section
 
 
 def _missing_ids(names: dict[int, str], n: int) -> str:
@@ -193,20 +176,24 @@ def _missing_ids(names: dict[int, str], n: int) -> str:
     return f"{first} (and {more} more)" if more else str(first)
 
 
-def _read_arcs(text: str, start: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arc lines of ``text[start:]`` as 1-based (src, dst) and weight arrays.
+def _read_arcs(
+    text: str, start: int, first: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arc lines of ``text[start:]``, the first of them line number
+    ``first``, as 1-based (src, dst) and weight arrays.
 
     Slices of ``8 * _CHUNK`` characters (about ``_CHUNK`` lines), each cut
     just after a LF, are read in bulk while they are plain.  From the first
-    slice that is not, the rest is read one line at a time; every line before
-    it ends in a LF and holds no other line break, so counting LFs numbers it.
+    slice that is not, the rest is read one line at a time; a plain slice
+    holds no line break but LF, so counting its LFs numbers the lines after it.
     """
-    parts = []
+    parts, at = [], start
     while start < len(text):
         stop = text.find("\n", start + 8 * _CHUNK) + 1 or len(text)
         parts.append(_plain_arcs(text[start:stop], n))
         if parts[-1] is None:
-            parts[-1] = _arc_lines(text[start:].splitlines(), text.count("\n", 0, start) + 1, n)
+            first += text.count("\n", at, start)
+            parts[-1] = _arc_lines(text[start:].splitlines(), first, n)
             break
         start = stop
     # the empty arrays keep the dtypes when the section has no arc lines
@@ -292,11 +279,18 @@ def write_pajek(z: CitationMatrix) -> str:
     return "\n".join(out) + "\n"
 
 
-def _csv_rows(text: str) -> list[list[str]]:
+def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
+    """The records, each with the number of the line it starts on: one past
+    the last line of the record before it, which a quoted line break moves."""
+    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    rows, line = [], 1
     try:
-        return list(csv.reader(io.StringIO(text.lstrip("﻿"))))
+        for row in reader:
+            rows.append((line, row))
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), line) from exc
+    return rows
 
 
 def read_csv_matrix(text: str) -> CitationMatrix:
@@ -308,7 +302,7 @@ def read_csv_matrix(text: str) -> CitationMatrix:
     rows = _csv_rows(text)
     if not rows:
         raise ParseError("empty input; expected a header row")
-    header = rows[0]
+    header = rows[0][1]
     if not header or header[0] != "":
         raise ParseError("header must start with an empty cell", line=1)
     citing = header[1:]
@@ -318,7 +312,7 @@ def read_csv_matrix(text: str) -> CitationMatrix:
         raise ParseError(f"expected {n} data rows to match the header, got {len(data_rows)}")
     cited: list[str] = []
     values = np.zeros((n, n), dtype=np.float64)
-    for r, row in enumerate(data_rows, start=2):
+    for i, (r, row) in enumerate(data_rows):
         if len(row) != n + 1:
             raise ParseError(f"expected {n + 1} cells, got {len(row)}", line=r)
         cited.append(row[0])
@@ -331,7 +325,7 @@ def read_csv_matrix(text: str) -> CitationMatrix:
                 raise ParseError(
                     f"column {c}: weights must be finite and >= 0, got {cell!r}", line=r
                 )
-            values[r - 2, c - 2] = value
+            values[i, c - 2] = value
     if cited != citing:
         mismatch = next(i for i, (a, b) in enumerate(zip(cited, citing)) if a != b)
         raise ParseError(
@@ -397,12 +391,12 @@ def write_trace_csv(trace: TraceTable) -> str:
 def read_trace_csv(text: str) -> TraceTable:
     """Inverse of :func:`write_trace_csv`; rows may come in any order."""
     rows = _csv_rows(text)
-    if not rows or tuple(rows[0]) != TRACE_HEADER:
+    if not rows or tuple(rows[0][1]) != TRACE_HEADER:
         raise ParseError(f"expected header {','.join(TRACE_HEADER)!r}", line=1)
     ks_of: dict[str, list[int]] = {}
     steps: list[int] = []
     cells: list[tuple[float, float, float]] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         if len(row) != 5:
             raise ParseError(f"expected 5 cells, got {len(row)}", line=r)
         try:
@@ -419,7 +413,7 @@ def read_trace_csv(text: str) -> TraceTable:
     if ks != tuple(range(1, len(ks) + 1)):
         raise ParseError("iterations must be contiguous from k=1")
     position = {name: i for i, name in enumerate(ks_of)}
-    cols = [position[row[0]] for row in rows[1:]]
+    cols = [position[row[0]] for _, row in rows[1:]]
     arrays = np.empty((3, len(ks), len(position)), dtype=np.float64)
     arrays[:, steps, cols] = np.asarray(cells, dtype=np.float64).T
     return TraceTable(tuple(position), arrays[0], arrays[1], arrays[2])
@@ -428,12 +422,12 @@ def read_trace_csv(text: str) -> TraceTable:
 def read_metric_csv(text: str, name: str = "external") -> MetricVector:
     """Parse a two-column ``label,value`` CSV with a header row."""
     rows = _csv_rows(text)
-    if not rows or len(rows[0]) != 2:
+    if not rows or len(rows[0][1]) != 2:
         raise ParseError("expected a two-column header row", line=1)
     labels: list[str] = []
     seen: set[str] = set()
     values: list[float] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         if len(row) != 2:
             raise ParseError(f"expected 2 cells, got {len(row)}", line=r)
         if not row[0]:

@@ -3,10 +3,10 @@
 ``read_pajek`` is the line-by-line Pajek reader.  It reads one line at a
 time: strip, skip blanks and ``%`` comments, split, convert with ``int`` and
 ``float``, check the range and the weight, and append to three Python lists.
-The library reads a file with a plain head in bulk, its arc lines a slice at
-a time, and line by line from the first slice that is not plain, or the whole
-file when the head is not; the differential tests require it to return the
-same matrix or raise the same message as this reader on every input.
+The library reads every head line by line too, then its arc lines in bulk, a
+slice at a time, and line by line from the first slice that is not plain;
+the differential tests require it to return the same matrix or raise the same
+message as this reader on every input.
 
 ``write_csv_matrix`` is the cell-by-cell matrix CSV writer: every cell of the
 dense matrix through ``_format_number``, whichever the storage.  The library

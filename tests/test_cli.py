@@ -106,11 +106,14 @@ def load_cli_corpus() -> list[dict]:
     array; ``compare-constant-metric`` was frozen when a metric's own cell
     stopped being computed; the three ``error-*`` cases after it when their
     inputs stopped giving numpy warnings, a wrong correlation or a chart that
-    is not XML; and the last three cases, a CR LF network, one ending in a
+    is not XML; the three cases after those, a CR LF network, one ending in a
     comment and a label holding a carriage return, before the Pajek reader
-    stopped splitting its whole text into lines.  An intended output change
-    regenerates only the digests it affects, and the CHANGES.md entry of that
-    change names each one and says why; no digest is regenerated wholesale.
+    stopped splitting its whole text into lines; and the last two, a comment
+    before ``*Vertices`` with good arcs and with a bad arc line, before every
+    head came to be read line by line and the arcs after it in bulk.  An
+    intended output change regenerates only the digests it affects, and the
+    CHANGES.md entry of that change names each one and says why; no digest is
+    regenerated wholesale.
     """
     return json.loads(Path(__file__).with_name("cli_corpus.json").read_text(encoding="utf-8"))
 

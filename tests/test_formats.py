@@ -296,6 +296,25 @@ class TestMetricCsv:
             read_metric_csv("")
 
 
+@pytest.mark.parametrize(
+    ("reader", "text", "message"),
+    [
+        (read_csv_matrix, ',"A\nB",C\n"A\nB",1,2\nC,3,x\n', "line 5: column 3: not a number"),
+        (read_metric_csv, 'label,value\n"A\nB",1\nC,x\n', "line 4: not a number"),
+        (
+            read_trace_csv,
+            'label,k,power,weakness,ratio\n"A\nB",1,1,1,1\nC,1,1,1,x\n',
+            "line 4: malformed trace row",
+        ),
+    ],
+    ids=["matrix", "metric", "trace"],
+)
+def test_csv_error_names_the_line_its_record_starts_on(reader, text, message):
+    # a quoted label holding a line break makes its record two lines long
+    with pytest.raises(ParseError, match=f"^{message}"):
+        reader(text)
+
+
 def test_format_number_keeps_integers_compact():
     assert _format_number(3.0) == "3"
     assert _format_number(6979.0) == "6979"

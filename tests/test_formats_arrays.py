@@ -1,17 +1,18 @@
 """The Pajek reader's two routes and the row-streamed writers against references.
 
-``read_pajek`` reads a file with a plain head in bulk, its arc section a
-slice at a time, and line by line from the first slice that is not plain,
-or the whole file when the head is not.  A differential property holds it
-to the line-by-line reader in ``reference_formats``: on mutated vertex and
-arc sections both return the same matrix, bit for bit, or raise the same
-message.  It runs at the default chunk size and at one so small that every
-section spans several slices and a bad line may sit in a slice after ones
-that were read in bulk.  At the default size, a section whose plain lines
-are followed by ones that only the per-line route reads must match too, with
-that route entered once.  A benchmark-shaped file and its CR LF copy must
-take the bulk routes.  Memory guards keep the reader from holding a
-whole-file token list and the CSV writer from holding an n x n array.
+``read_pajek`` reads the head of every file line by line, then its arc
+section in bulk, a slice at a time, and line by line from the first slice
+that is not plain.  A differential property holds it to the line-by-line
+reader in ``reference_formats``: on mutated vertex and arc sections both
+return the same matrix, bit for bit, or raise the same message.  It runs at
+the default chunk size and at one so small that every section spans several
+slices and a bad line may sit in a slice after ones that were read in bulk.
+At the default size, a section whose plain lines are followed by ones that
+only the per-line route reads must match too, with that route entered once.
+A benchmark-shaped file, its CR LF copy and a copy with a comment, a blank
+line and a bare label in its head must take the bulk arc route.  Memory
+guards keep the reader from holding a whole-file token list and the CSV
+writer from holding an n x n array.
 """
 
 from __future__ import annotations
@@ -166,6 +167,13 @@ def outcome(reader, text: str):
 @example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n' + "1 2 3\n" * 8 + "2 1 1\x85\n1 1 x\n")
 # CR CR LF is two breaks: CR LF made LF must not turn it into one CR LF
 @example(text='*Vertices 2\r\r\n1 "A"\n2 "B"\n*Arcs\n1 2 x\n')
+# section lines the head's pattern misses, or that end in a break other than
+# LF, and a head with comments and blank lines
+@example(text='\xa0*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2 3\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\x85*Arcs\n1 2 3\n2 1 x\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\n*Arcs\x851 2 3\n2 1 x\n')
+@example(text='*Vertices 2\n1 "A"\n2 "B"\n\xa0*Arcs\n1 2 3\n2 1 x\n')
+@example(text='% c\n\n*Vertices 2\n1 "A"\n% x\n2 "B"\n\n*Arcs\n1 2 3\n2 1 x\n')
 def test_reader_matches_line_by_line_reference(chunk, text):
     with chunked(chunk):
         assert outcome(read_pajek, text) == outcome(ref.read_pajek, text)
@@ -196,12 +204,10 @@ def fields_text(n: int, seed: int) -> str:
 def test_plain_sections_take_the_bulk_path():
     text = fields_text(30_000, seed=0)
     expected = ref.read_pajek(text)
-    # the line-by-line routes must not be needed, or a later edit could fall
-    # back to them on plain input without a test noticing
-    slow = AssertionError("a plain section took the line-by-line route")
-    with mock.patch.object(formats, "_arc_lines", side_effect=slow), mock.patch.object(
-        formats, "_vertex_lines", side_effect=slow
-    ):
+    # the line-by-line arc route must not be needed, or a later edit could
+    # fall back to it on plain input without a test noticing
+    slow = AssertionError("a plain arc section took the line-by-line route")
+    with mock.patch.object(formats, "_arc_lines", side_effect=slow):
         z = read_pajek(text)
     assert z.is_sparse and z.labels == expected.labels
     for part in ("indptr", "indices", "data"):
@@ -211,10 +217,27 @@ def test_plain_sections_take_the_bulk_path():
 def test_cr_lf_copy_of_plain_sections_takes_the_bulk_path():
     text = fields_text(30_000, seed=0).replace("\n", "\r\n")
     expected = ref.read_pajek(text)
-    slow = AssertionError("a plain CR LF section took the line-by-line route")
-    with mock.patch.object(formats, "_arc_lines", side_effect=slow), mock.patch.object(
-        formats, "_vertex_lines", side_effect=slow
-    ):
+    slow = AssertionError("a plain CR LF arc section took the line-by-line route")
+    with mock.patch.object(formats, "_arc_lines", side_effect=slow):
+        z = read_pajek(text)
+    assert z.is_sparse and z.labels == expected.labels
+    for part in ("indptr", "indices", "data"):
+        assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
+
+
+def commented_head_text() -> str:
+    """The benchmark-shaped file with a comment before ``*Vertices``, a blank
+    line in the vertex section and one bare label there."""
+    text = "% made elsewhere\n" + fields_text(30_000, seed=0)
+    text = text.replace('\n2 "J000001"\n', '\n\n2 "J000001"\n', 1)
+    return text.replace('\n3 "J000002"\n', "\n3 J000002\n", 1)
+
+
+def test_commented_head_takes_the_bulk_arc_route():
+    text = commented_head_text()
+    expected = ref.read_pajek(text)
+    slow = AssertionError("plain arcs after a commented head took the line-by-line route")
+    with mock.patch.object(formats, "_arc_lines", side_effect=slow):
         z = read_pajek(text)
     assert z.is_sparse and z.labels == expected.labels
     for part in ("indptr", "indices", "data"):
@@ -266,19 +289,21 @@ def test_endpoint_past_n_in_plain_chunk_after_per_line_chunk():
 
 
 def test_reader_keeps_no_whole_file_token_list():
-    text = fields_text(30_000, seed=0)
-    assert text.count("\n") - 30_002 > 2 * formats._CHUNK
-    tracemalloc.start()
-    try:
-        z = read_pajek(text)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert z.is_sparse
-    # one slice of tokens, the arc arrays and the matrix need about 6.5x; a
-    # list of the file's lines took it to 11x, the line-by-line reader needed
-    # 15.5x and a token list of the whole file needs 20x
-    assert peak < 8 * len(text)
+    plain = fields_text(30_000, seed=0)
+    assert plain.count("\n") - 30_002 > 2 * formats._CHUNK
+    for text in (plain, commented_head_text()):
+        tracemalloc.start()
+        try:
+            z = read_pajek(text)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z.is_sparse
+        # one slice of tokens, the arc arrays and the matrix need about 5.5x;
+        # a list of the file's lines took it to 11x (9.7x for the commented
+        # copy, read line by line whole), the line-by-line reader needed 15.5x
+        # and a token list of the whole file needs 20x
+        assert peak < 8 * len(text)
 
 
 def test_csv_writer_holds_no_square_array():
