@@ -16,11 +16,16 @@ exits 1.
 When results stream to standard output, auxiliary summaries go to standard
 error so the data stays machine-readable; with ``--output`` the summaries
 use standard output.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and serves every later call; it keeps no state from one call to the
+next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -327,7 +332,16 @@ def _format_total(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``pwrkit`` argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was: each ``parse_args`` returns a new
+    namespace, ``--external`` starts each call from no list, and a usage error
+    raises :class:`CliError`.  Each subcommand's ``func`` is the ``cmd_*``
+    function bound at the first build, so a ``cmd_*`` replaced later is not
+    called; the names a ``cmd_*`` calls are looked up when it runs.
+    """
     parser = _Parser(prog="pwrkit", description="Power-weakness ratio toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TypeAlias
 
 import numpy as np
 
@@ -191,14 +192,28 @@ def _aligned_values(x: MetricVector, y: MetricVector) -> tuple[np.ndarray, np.nd
     return x.values, y.values
 
 
-def _pearson_of(a: np.ndarray, b: np.ndarray) -> float:
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ContractError("correlation inputs must be finite")
+# A vector minus its mean, with that difference's norm; None for a vector
+# holding a non-finite value, which has no correlation with anything.
+_Centred: TypeAlias = "tuple[np.ndarray, float] | None"
+
+
+def _centred(a: np.ndarray) -> _Centred:
+    if not np.isfinite(a).all():
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
         ac = a - a.mean()
-        bc = b - b.mean()
-        sa = float(np.sqrt((ac * ac).sum()))
-        sb = float(np.sqrt((bc * bc).sum()))
+        return ac, float(np.sqrt((ac * ac).sum()))
+
+
+def _pearson_of(a: np.ndarray, b: np.ndarray) -> float:
+    return _pearson_centred(_centred(a), _centred(b))
+
+
+def _pearson_centred(x: _Centred, y: _Centred) -> float:
+    if x is None or y is None:
+        raise ContractError("correlation inputs must be finite")
+    (ac, sa), (bc, sb) = x, y
+    with np.errstate(over="ignore", invalid="ignore"):
         cross = float((ac * bc).sum())
     if not all(map(math.isfinite, (sa, sb, sa * sb, cross))):
         raise ContractError("correlation inputs overflow double range")
@@ -261,19 +276,26 @@ def align_to(reference: MetricVector, other: MetricVector) -> MetricVector:
 def compare_rankings(metrics: Sequence[MetricVector]) -> list[list[RankingComparison]]:
     """All pairwise Pearson/Spearman comparisons, aligned to the first metric.
 
-    Each metric is ranked once and each distinct pair computed once; the
-    mirror cell reuses both floats, since the coefficient is symmetric bit
-    for bit.  A metric's own cell is ``(1.0, 1.0)`` by definition.
+    Each metric and its ranks are centred once and each distinct pair
+    computed once, with the bits and the errors of :func:`pearson` and
+    :func:`spearman`; the mirror cell reuses both floats, since the
+    coefficient is symmetric bit for bit.  A metric's own cell is
+    ``(1.0, 1.0)`` by definition.
     """
     if not metrics:
         raise ContractError("need at least one metric to compare")
     aligned = [metrics[0]] + [align_to(metrics[0], m) for m in metrics[1:]]
-    ranks = [rankdata(m.values) for m in aligned]
-    pairs = {
-        (i, j): (pearson(aligned[i], aligned[j]), _pearson_of(ranks[i], ranks[j]))
-        for i in range(len(aligned))
-        for j in range(i + 1, len(aligned))
-    }
+    pairs = {}
+    if len(aligned) > 1:
+        if aligned[0].n < 2:
+            raise ContractError("correlation needs at least two nodes")
+        values = [_centred(m.values) for m in aligned]
+        ranks = [_centred(rankdata(m.values)) for m in aligned]
+        pairs = {
+            (i, j): (_pearson_centred(values[i], values[j]), _pearson_centred(ranks[i], ranks[j]))
+            for i in range(len(aligned))
+            for j in range(i + 1, len(aligned))
+        }
     return [
         [
             RankingComparison(x.labels, x, y, *pairs.get((min(i, j), max(i, j)), (1.0, 1.0)))

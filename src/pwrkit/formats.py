@@ -111,8 +111,11 @@ def read_pajek(text: str) -> CitationMatrix:
         start = sum(map(len, itertools.islice(lines, line_no))) + line_no
         del lines  # the head's lines are not needed while the arcs are read
         src, dst, weight = _read_arcs(text, start, line_no + 1, len(labels))
+        # the arrays are the reader's own: 0-based ids without two more copies
+        src -= 1
+        dst -= 1
     try:
-        return from_arcs(labels, src - 1, dst - 1, weight)
+        return from_arcs(labels, src, dst, weight)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -180,7 +183,7 @@ def _read_arcs(
     text: str, start: int, first: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arc lines of ``text[start:]``, the first of them line number
-    ``first``, as 1-based (src, dst) and weight arrays.
+    ``first``, as new 1-based (src, dst) and weight arrays.
 
     Slices of ``8 * _CHUNK`` characters (about ``_CHUNK`` lines), each cut
     just after a LF, are read in bulk while they are plain.  From the first

@@ -6,6 +6,9 @@ citing side: ``Z[i][j]`` counts citations from journal ``j`` to journal ``i``.
 Matrices up to :data:`DENSE_LIMIT` nodes are stored dense (numpy); larger ones
 switch to compressed sparse rows so complete-database-scale inputs stay
 tractable.  All operations are pure: they return new objects and never mutate.
+One gap is left open: a canonical CSR input is held without a copy, and its
+arrays stay writable, so a caller that writes to them after construction
+changes the matrix past validation (see :class:`CitationMatrix`).
 
 Storage is decided here, by the node count: in the constructor and in
 :func:`from_arcs`, the one way from arcs to either storage.  ``entry``,
@@ -88,7 +91,16 @@ def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CitationMatrix:
-    """Square cited-by-citing weight matrix with one label per node."""
+    """Square cited-by-citing weight matrix with one label per node.
+
+    Dense entries are a read-only copy.  A CSR input in canonical form
+    (sorted indices, no duplicates) above :data:`DENSE_LIMIT` nodes is held
+    without a copy: the matrix shares the caller's arrays, and they stay
+    writable, so a caller that writes to them after construction changes this
+    matrix past validation.  Copying would cost every library build a copy,
+    and marking them read-only would change the caller's own arrays, so such
+    a caller must copy its CSR first or leave it alone.
+    """
 
     labels: tuple[str, ...]
     entries: Entries = field(repr=False)

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -828,6 +829,39 @@ class TestTopLevel:
         out, _err = capsys.readouterr()
         assert excinfo.value.code == 0
         assert out.startswith("pwrkit ")
+
+    def test_parser_shared_by_calls_keeps_no_state(self, capsys, tmp_path, monkeypatch):
+        # one process reuses one parser: a bad flag, an appended --external or
+        # --version must leave nothing behind for the next call
+        for name in ("jasist_plus.csv", "sjr2013.csv"):
+            shutil.copyfile(data_path(name), tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        bad_int = ["pwr", "--input", "jasist_plus.csv", "--k-max", "x"]
+        compare = ["compare", "--input", "jasist_plus.csv", "--self-citations", "exclude"]
+        with_sjr = compare + ["--external", "sjr=sjr2013.csv"]
+        bogus = ["decompose", "--input", "jasist_plus.csv", "--bogus"]
+        steps = [bad_int, with_sjr, compare, bad_int, bogus, compare, ["--version"], ["--version"]]
+        # the package under test, importable from tmp_path
+        package_root = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        fresh = {}
+        for argv in steps:
+            if tuple(argv) not in fresh:
+                result = subprocess.run(
+                    [sys.executable, "-m", "pwrkit.cli", *argv],
+                    capture_output=True, text=True, timeout=60, env=env,
+                )
+                fresh[tuple(argv)] = (result.returncode, result.stdout, result.stderr)
+        for number, argv in enumerate(steps, 1):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == fresh[tuple(argv)], f"step {number}: {' '.join(argv)}"
+        assert fresh[tuple(with_sjr)][1].startswith("label,pwr,cf,pagerank,hits_hub,hits_authority,sjr\n")
+        assert fresh[tuple(compare)][1].startswith("label,pwr,cf,pagerank,hits_hub,hits_authority\n")
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(

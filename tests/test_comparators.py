@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
@@ -379,6 +379,66 @@ def test_rankdata_matches_scipy_bit_for_bit(values):
     assert ours.tobytes() == reference.tobytes()
 
 
+@st.composite
+def metric_lists(draw):
+    """One to five metrics over the same 0-8 labels: plain, constant, near
+    the top of double range, or holding one non-finite value."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    labels = " ".join(f"J{i}" for i in range(n))
+    metrics = []
+    for k in range(draw(st.integers(min_value=1, max_value=5))):
+        kind = draw(st.sampled_from(["plain", "constant", "huge", "non-finite"]))
+        if kind == "constant":
+            values = [draw(st.floats(allow_nan=False, allow_infinity=False))] * n
+        elif kind == "huge":
+            pool = st.sampled_from([1.7e308, -1.7e308, 1e308, 0.0, 1.0])
+            values = draw(st.lists(pool, min_size=n, max_size=n))
+        else:
+            plain = st.floats(min_value=-1e6, max_value=1e6)
+            values = draw(st.lists(plain, min_size=n, max_size=n))
+            if kind == "non-finite" and n:
+                at = draw(st.integers(min_value=0, max_value=n - 1))
+                values[at] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        metrics.append(metric(f"m{k}", labels, values))
+    return metrics
+
+
+def _outcome(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_lists())
+@example([metric("a", "A B C", [1, 2, 4]), metric("b", "A B C", [1, np.inf, 3])])
+@example([metric("a", "A B C", [1, 2, 4]), metric("b", "A B C", [3, 3, 3])])
+@example([metric("a", "A B C", [1, 2, 4]), metric("b", "A B C", [1.7e308, 0, 0])])
+@example([metric("a", "A B C", [1, 2, 4]), metric("b", "A B C", [np.nan, 2, 1])])
+@example([metric("a", "A", [1]), metric("b", "A", [np.nan])])
+@example([metric("a", "", [])])
+def test_compare_rankings_has_the_bits_and_errors_of_pairwise_calls(metrics):
+    def pairwise():
+        return {
+            (i, j): (pearson(metrics[i], metrics[j]), spearman(metrics[i], metrics[j]))
+            for i in range(len(metrics))
+            for j in range(i + 1, len(metrics))
+        }
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _outcome(pairwise)
+        table = _outcome(lambda: compare_rankings(metrics))
+    if isinstance(expected, tuple):
+        assert table == expected
+        return
+    for (i, j), (r, rho) in expected.items():
+        for cell in (table[i][j], table[j][i]):
+            assert (repr(cell.pearson_r), repr(cell.spearman_rho)) == (repr(r), repr(rho))
+
+
 def test_undefined_results_raise_contract_error():
     a, b = metric("a", "A B", [1.0, 2.0]), metric("b", "A B", [3.0, 3.0])
     cases = [
@@ -387,6 +447,9 @@ def test_undefined_results_raise_contract_error():
         (lambda: pearson(metric("a", "A", [1.0]), metric("b", "A", [2.0])), "two nodes"),
         (lambda: spearman(a, b), "zero-variance"),
         (lambda: pearson(a, metric("c", "A B", [1.0, np.inf])), "must be finite"),
+        # each pair checks finite values, then overflow, then zero variance
+        (lambda: pearson(metric("c", "A B", [1.0, np.inf]), b), "must be finite"),
+        (lambda: pearson(metric("h", "A B", [1.7e308, -1.7e308]), b), "overflow double range"),
         (lambda: compare_rankings([]), "at least one metric"),
     ]
     for call, message in cases:

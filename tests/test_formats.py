@@ -21,6 +21,7 @@ from pwrkit import (
     ParseError,
     PwrOptions,
     TraceTable,
+    formats,
     pwr_trace,
     read_csv_matrix,
     read_metric_csv,
@@ -66,6 +67,20 @@ class TestPajekReader:
             z = read_pajek('*Vertices 2\n1 "A"\n2 "B"\n')
         assert z.to_dense().tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert "no *Arcs" in caplog.text
+
+    @pytest.mark.parametrize("n", [3, DENSE_LIMIT + 1], ids=["dense", "csr"])
+    def test_reading_the_same_text_twice_gives_the_same_matrix(self, n):
+        # the reader makes its ids 0-based in place, on arrays only it holds
+        vertices = "".join(f'{v} "J{v}"\n' for v in range(1, n + 1))
+        text = f"*Vertices {n}\n{vertices}*Arcs\n1 2 3\n{n} 1 2.5\n1 2 1\n"
+        first, second = read_pajek(text), read_pajek(text)
+        assert first == second
+        assert (first.entry(0, 1), first.entry(n - 1, 0), first.entry(1, 0)) == (4.0, 2.5, 0.0)
+
+    def test_a_file_without_arcs_leaves_the_empty_arcs_empty(self):
+        for text in ('*Vertices 2\n1 "A"\n2 "B"\n', '*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n'):
+            assert read_pajek(text) == build("A B", [[0, 0], [0, 0]])
+        assert [(a.dtype.str, a.size) for a in formats._NO_ARCS] == [("<i8", 0), ("<i8", 0), ("<f8", 0)]
 
     def test_byte_order_mark_is_stripped(self):
         z = read_pajek('﻿*Vertices 1\n1 "A"\n*Arcs\n1 1 1\n')

@@ -7,7 +7,9 @@ or from a Pajek network, so no scipy module may load at start-up or during
 a dense run of any subcommand but ``scc``.  ``scipy.sparse``, which costs as
 much to import as numpy, loads on the first CSR matrix (one above
 ``DENSE_LIMIT`` nodes, whatever the file format); ``scipy.sparse.csgraph``
-loads when ``scc`` runs; ``scipy.stats`` is never used.
+loads when ``scc`` runs; ``scipy.stats`` is never used.  The argument
+parser is not built at import either, but on the first ``main`` call, and
+only once however many calls follow.
 """
 
 from __future__ import annotations
@@ -32,10 +34,22 @@ def scipy_modules():
 """
 
 DENSE_RUN = HELPERS + """
+import argparse
+
+# the prog of every parser built: the CLI's own is "pwrkit"
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
 import pwrkit
 assert not scipy_modules(), f"imported by pwrkit: {scipy_modules()}"
 import pwrkit.cli
 assert not scipy_modules(), f"imported by pwrkit.cli: {scipy_modules()}"
+assert not built, f"parsers built by importing pwrkit.cli: {built}"
 commands = [
     ["pwr", "--input", "jasist_plus.csv", "--self-citations", "exclude", "--tol", "0.01",
      "--plot", "chart.svg"],
@@ -54,6 +68,7 @@ for argv in commands:
     code = pwrkit.cli.main(argv)
     assert code == 0, f"{argv[0]} exited {code}"
     assert not scipy_modules(), f"imported by {argv[0]}: {scipy_modules()}"
+assert built.count("pwrkit") == 1, f"the CLI parser was built {built.count('pwrkit')} times"
 """
 
 SPARSE_RUN = HELPERS + """
