@@ -15,7 +15,8 @@ exceptions to exit codes; any other ``ValueError`` or ``KeyError``, and a
 exits 1.
 When results stream to standard output, auxiliary summaries go to standard
 error so the data stays machine-readable; with ``--output`` the summaries
-use standard output.
+use standard output.  ``convert``, which always writes ``--output``, is the
+exception: its ``wrote ...`` line goes to standard error.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and serves every later call; it keeps no state from one call to the

@@ -202,6 +202,10 @@ def _centred(a: np.ndarray) -> _Centred:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         ac = a - a.mean()
+        # scaled up by a power of two (exact) so that a tiny spread's squares do not underflow
+        top = float(np.abs(ac).max(initial=0.0))
+        if 0.0 < top < 1.0:
+            ac = np.ldexp(ac, -math.frexp(top)[1])
         return ac, float(np.sqrt((ac * ac).sum()))
 
 

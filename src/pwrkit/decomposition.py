@@ -540,10 +540,7 @@ def _local_moving(
     # the sweeps end, puts its current community among the candidates.
     loops = data[indptr[:-1]]
     data[indptr[:-1]] = 0.0
-    widest = int((indptr[1:] - indptr[:-1]).max(initial=0))
     slot = np.zeros(level_n, dtype=np.intp)
-    positions = np.arange(widest)
-    compact = np.zeros(widest, dtype=np.intp)
     moved_any = False
     moved = True
     # Real inputs settle in a handful of sweeps; the budget only guards
@@ -561,16 +558,15 @@ def _local_moving(
                 kv = degree[v]
                 a, b = ptr[v], ptr[v + 1]
                 sigma[current] -= kv
-                # Number the neighbouring communities without sorting: slot
-                # ends up holding one neighbour position per community.
-                pos = positions[: b - a]
+                # Number the neighbouring communities without sorting: slot holds
+                # one neighbour position per community, the bin of its weights.
+                pos = np.arange(b - a)
                 comms = community[indices[a:b]]
                 slot[comms] = pos
                 rep = slot[comms]
-                is_rep = rep == pos
-                found = comms[is_rep]
-                compact[rep[is_rep]] = positions[: len(found)]
-                sums = np.bincount(compact[rep], weights=data[a:b])
+                at = np.flatnonzero(rep == pos)
+                found = comms[at]
+                sums = np.bincount(rep, weights=data[a:b])[at]
                 gain = sums / m - resolution * sigma[found] * kv / scale
                 top = int(gain.argmax())
                 # A leader ahead of every rival by more than eps wins the

@@ -123,7 +123,8 @@ def read_pajek(text: str) -> CitationMatrix:
 def _read_head(lines: list[str]) -> tuple[tuple[str, ...], tuple[int, str] | None]:
     """The labels, and the section line after the vertex lines as (line
     number, stripped text) or None when ``lines`` end first."""
-    for line_no, line in enumerate(lines, 1):
+    numbered = enumerate(lines, 1)
+    for line_no, line in numbered:
         content = line.strip()
         if content and content[0] != "%":
             break
@@ -138,18 +139,9 @@ def _read_head(lines: list[str]) -> tuple[tuple[str, ...], tuple[int, str] | Non
         raise ParseError(f"vertex count is not an integer: {tokens[1]!r}", line_no) from None
     if n < 0:
         raise ParseError(f"vertex count must be >= 0, got {n}", line_no)
-    return _vertex_lines(lines, line_no, n)
-
-
-def _vertex_lines(
-    lines: list[str], start: int, n: int
-) -> tuple[tuple[str, ...], tuple[int, str] | None]:
-    """The labels and the next section line as (line number, stripped text),
-    or None at the end of ``lines``, read one vertex line at a time from
-    ``lines[start]``."""
     names: dict[int, str] = {}
     section = None
-    for line_no, line in enumerate(itertools.islice(lines, start, None), start + 1):
+    for line_no, line in numbered:
         content = line.strip()
         if not content or content[0] == "%":
             continue
@@ -285,7 +277,7 @@ def write_pajek(z: CitationMatrix) -> str:
 def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
     """The records, each with the number of the line it starts on: one past
     the last line of the record before it, which a quoted line break moves."""
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     rows, line = [], 1
     try:
         for row in reader:

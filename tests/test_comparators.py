@@ -7,12 +7,13 @@ solvers.
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
@@ -437,6 +438,37 @@ def test_compare_rankings_has_the_bits_and_errors_of_pairwise_calls(metrics):
     for (i, j), (r, rho) in expected.items():
         for cell in (table[i][j], table[j][i]):
             assert (repr(cell.pearson_r), repr(cell.spearman_rho)) == (repr(r), repr(rho))
+
+
+# Plain values whose nonzero magnitudes stay far from the subnormal range.
+MODERATE = st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: v == 0 or abs(v) >= 1e-3)
+
+
+@st.composite
+def scaled_pairs(draw):
+    """Two metrics over the same 2-8 labels and a power of two that keeps
+    every nonzero value of the first normal."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    x = draw(st.lists(MODERATE, min_size=n, max_size=n))
+    y = draw(st.lists(MODERATE, min_size=n, max_size=n))
+    k = draw(st.integers(min_value=0, max_value=1000))
+    assume(all(v == 0 or abs(v) * 2.0**-k >= sys.float_info.min for v in x))
+    return x, y, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_pairs())
+# at 2**-540 every centred square underflows to 0.0 unless scaled up first;
+# both sides give pearson 0.9819805060619655, not a zero-variance error
+@example(([0.0, 1.0, 3.0], [0.0, 1.0, 2.0], 540))
+def test_correlations_do_not_see_a_power_of_two_scale(case):
+    x, y, k = case
+    labels = " ".join(f"J{i}" for i in range(len(x)))
+    a, b = metric("a", labels, x), metric("b", labels, y)
+    small = metric("a", labels, np.asarray(x) * 2.0**-k)
+    for correlate in (pearson, spearman):
+        ours = _outcome(lambda: correlate(small, b))
+        assert repr(ours) == repr(_outcome(lambda: correlate(a, b)))
 
 
 def test_undefined_results_raise_contract_error():
