@@ -15,8 +15,8 @@ from typing import TypeAlias
 
 import numpy as np
 
-from .engine import ContractError, PwrOptions, ZeroDivision, pwr_trace
-from .matrix import CitationMatrix, column_sums, grand_total
+from .engine import ContractError, PwrOptions, ZeroDivision, bounded_list, pwr_trace
+from .matrix import CitationMatrix, _sparse, column_sums, grand_total
 
 _DEFAULT_MAX_ITER = 1000
 
@@ -111,9 +111,7 @@ def pagerank(
     if not np.isfinite(inverse).all():
         raise ContractError("a column sum is too small to invert; pagerank is undefined")
     if z.is_sparse:
-        from scipy import sparse  # loaded already: z holds a csr_array
-
-        walk = (z.entries @ sparse.diags(inverse)).tocsr()
+        walk = (z.entries @ _sparse().diags(inverse)).tocsr()
     else:
         walk = z.entries * inverse[np.newaxis, :]
 
@@ -184,7 +182,8 @@ def _aligned_values(x: MetricVector, y: MetricVector) -> tuple[np.ndarray, np.nd
         only_y = [name for name in y.labels if name not in x_names]
         if only_x or only_y:
             raise ValueError(
-                f"metric labels differ: only in {x.name!r}: {only_x}; only in {y.name!r}: {only_y}"
+                f"metric labels differ: only in {x.name!r}: {bounded_list(only_x, len(only_x))}; "
+                f"only in {y.name!r}: {bounded_list(only_y, len(only_y))}"
             )
         raise ValueError(f"metrics {x.name!r} and {y.name!r} order their labels differently")
     if x.n < 2:
@@ -201,16 +200,13 @@ def _centred(a: np.ndarray) -> _Centred:
     if not np.isfinite(a).all():
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        ac = a - a.mean()
+        # a constant is centred on its own value, so its spread is exactly zero
+        ac = a - (a[0] if a.min() == a.max() else a.mean())
         # scaled up by a power of two (exact) so that a tiny spread's squares do not underflow
         top = float(np.abs(ac).max(initial=0.0))
         if 0.0 < top < 1.0:
             ac = np.ldexp(ac, -math.frexp(top)[1])
         return ac, float(np.sqrt((ac * ac).sum()))
-
-
-def _pearson_of(a: np.ndarray, b: np.ndarray) -> float:
-    return _pearson_centred(_centred(a), _centred(b))
 
 
 def _pearson_centred(x: _Centred, y: _Centred) -> float:
@@ -230,7 +226,7 @@ def _pearson_centred(x: _Centred, y: _Centred) -> float:
 def pearson(x: MetricVector, y: MetricVector) -> float:
     """Sample Pearson correlation of two metrics over the same labels."""
     a, b = _aligned_values(x, y)
-    return _pearson_of(a, b)
+    return _pearson_centred(_centred(a), _centred(b))
 
 
 def rankdata(values: np.ndarray) -> np.ndarray:
@@ -256,7 +252,7 @@ def rankdata(values: np.ndarray) -> np.ndarray:
 def spearman(x: MetricVector, y: MetricVector) -> float:
     """Pearson correlation of average-tied ranks."""
     a, b = _aligned_values(x, y)
-    return _pearson_of(rankdata(a), rankdata(b))
+    return _pearson_centred(_centred(rankdata(a)), _centred(rankdata(b)))
 
 
 def align_to(reference: MetricVector, other: MetricVector) -> MetricVector:
@@ -271,7 +267,8 @@ def align_to(reference: MetricVector, other: MetricVector) -> MetricVector:
     extra = [name for name in other.labels if name not in reference_names]
     if missing or extra:
         raise ValueError(
-            f"metric {other.name!r} labels do not match: missing {missing}, unexpected {extra}"
+            f"metric {other.name!r} labels do not match: missing "
+            f"{bounded_list(missing, len(missing))}, unexpected {bounded_list(extra, len(extra))}"
         )
     values = other.values[[position[name] for name in reference.labels]]
     return MetricVector(other.name, reference.labels, values)

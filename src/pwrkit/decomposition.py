@@ -44,15 +44,11 @@ from functools import cached_property
 import numpy as np
 
 from .engine import ContractError, SelfCitations
-from .matrix import CitationMatrix, Entries, NodeSet, zero_diagonal
+from .matrix import _CHUNK, CitationMatrix, Entries, NodeSet, zero_diagonal
 
 # Gains closer than this are treated as equal so float noise cannot flip
 # deterministic tie-breaks.
 _GAIN_EPS = 1e-12
-
-# At most this many array elements are held as Python objects at a time; the
-# array stages work this many edges, entries or Gram products at a time.
-_CHUNK = 1 << 16
 
 
 class EdgeList(Sequence):

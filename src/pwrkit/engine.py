@@ -13,9 +13,11 @@ scaled by the grand total of Z^k, which cancels in the quotient.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -201,10 +203,11 @@ def _trace_vectors(
     return vectors, tuple(scales), problem
 
 
-def _label_list(labels: tuple[str, ...], indices: np.ndarray) -> str:
-    # bounded whatever n is: the first ten labels, then a count of the rest
-    shown = ", ".join(labels[i] for i in indices[:10])
-    return shown if len(indices) <= 10 else f"{shown} (and {len(indices) - 10} more)"
+def bounded_list(items: Iterable, count: int, show: Callable[[list], str] = str) -> str:
+    """``show`` of the first ten of ``count`` items, then ``(and N more)``:
+    a message naming items stays bounded, however many there are."""
+    first = list(itertools.islice(items, 10))
+    return f"{show(first)} (and {count - len(first)} more)" if count > len(first) else show(first)
 
 
 def _warn_one_sided(z: CitationMatrix) -> None:
@@ -214,13 +217,13 @@ def _warn_one_sided(z: CitationMatrix) -> None:
         log.warning(
             "%d node(s) cite nothing within the set and will score extreme ratios: %s",
             len(cited_only),
-            _label_list(z.labels, cited_only),
+            bounded_list(map(z.labels.__getitem__, cited_only), len(cited_only), ", ".join),
         )
     if len(citing_only):
         log.warning(
             "%d node(s) are never cited within the set: %s",
             len(citing_only),
-            _label_list(z.labels, citing_only),
+            bounded_list(map(z.labels.__getitem__, citing_only), len(citing_only), ", ".join),
         )
 
 

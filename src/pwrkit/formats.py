@@ -30,8 +30,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .comparators import MetricVector
-from .engine import TraceTable
-from .matrix import CitationMatrix, from_arcs, nonzero_arrays
+from .engine import TraceTable, bounded_list
+from .matrix import _CHUNK, CitationMatrix, from_arcs, nonzero_arrays
 
 log = logging.getLogger(__name__)
 
@@ -47,8 +47,6 @@ _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 TRACE_HEADER = ("label", "k", "power", "weakness", "ratio")
 METRIC_HEADER = ("label", "value")
 
-# Arc lines read per token list; bounds the reader's working memory.
-_CHUNK = 1 << 16
 _NO_ARCS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
 # The bytes of a plain arc slice: digits, space, tab and LF.
 _PLAIN_ARC_BYTES = b"0123456789 \t\n"
@@ -160,15 +158,9 @@ def _read_head(lines: list[str]) -> tuple[tuple[str, ...], tuple[int, str] | Non
             raise ParseError(f"vertex {vid} has an empty label", line_no)
         names[vid] = name
     if len(names) < n:
-        raise ParseError(f"vertex ids without a definition: {_missing_ids(names, n)}")
+        missing = bounded_list((vid for vid in range(1, n + 1) if vid not in names), n - len(names))
+        raise ParseError(f"vertex ids without a definition: {missing}")
     return tuple(map(names.__getitem__, range(1, n + 1))), section
-
-
-def _missing_ids(names: dict[int, str], n: int) -> str:
-    # bounded whatever n is: the first ten ids, then a count of the rest
-    first = list(itertools.islice((vid for vid in range(1, n + 1) if vid not in names), 10))
-    more = n - len(names) - len(first)
-    return f"{first} (and {more} more)" if more else str(first)
 
 
 def _read_arcs(

@@ -6,9 +6,9 @@ citing side: ``Z[i][j]`` counts citations from journal ``j`` to journal ``i``.
 Matrices up to :data:`DENSE_LIMIT` nodes are stored dense (numpy); larger ones
 switch to compressed sparse rows so complete-database-scale inputs stay
 tractable.  All operations are pure: they return new objects and never mutate.
-One gap is left open: a canonical CSR input is held without a copy, and its
-arrays stay writable, so a caller that writes to them after construction
-changes the matrix past validation (see :class:`CitationMatrix`).
+A matrix owns its entries on either storage: read-only arrays that no caller
+holds, so nothing can change them past validation.  The constructor is the one
+place where a sparse input becomes CSR.
 
 Storage is decided here, by the node count: in the constructor and in
 :func:`from_arcs`, the one way from arcs to either storage.  ``entry``,
@@ -40,6 +40,10 @@ if TYPE_CHECKING:
 # Above this node count matrices are held in CSR form instead of dense arrays.
 DENSE_LIMIT = 1024
 
+# The working-set bound of every chunked stage: readers, writers and the graph
+# layer hold about this many lines, rows, edges or products at a time.
+_CHUNK = 1 << 16
+
 Entries: TypeAlias = "np.ndarray | csr_array"
 
 
@@ -51,11 +55,15 @@ def _sparse():
 
 
 def _canonical_entries(values: object, n: int) -> Entries:
-    """Validate raw entries and normalize storage by node count."""
+    """Validate raw entries and store them by node count, read-only and unshared."""
     # no object can be a scipy sparse array before scipy.sparse is loaded
     sparse = sys.modules.get("scipy.sparse")
     if sparse is not None and sparse.issparse(values):
-        mat = sparse.csr_array(values, dtype=np.float64)
+        # copy=True copies a CSR input, whose arrays its caller holds; any other
+        # format is converted into new arrays.  Duplicates are summed first, so
+        # the checks below see the entries as stored.
+        mat = sparse.csr_array(values, dtype=np.float64, copy=True)
+        mat.sum_duplicates()
         weights = mat.data
     else:
         mat = weights = np.asarray(values, dtype=np.float64)
@@ -67,10 +75,8 @@ def _canonical_entries(values: object, n: int) -> Entries:
         raise ValueError("matrix entries must be non-negative")
     if n > DENSE_LIMIT:
         mat = _sparse().csr_array(mat)
-        if not mat.has_canonical_format:
-            # a caller's CSR shares its arrays with mat: sum a copy, in order
-            mat = mat.copy()
-            mat.sum_duplicates()
+        for part in (mat.indptr, mat.indices, mat.data):
+            part.flags.writeable = False
         return mat
     mat = mat.copy() if isinstance(mat, np.ndarray) else mat.toarray()
     mat.flags.writeable = False
@@ -93,13 +99,10 @@ def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
 class CitationMatrix:
     """Square cited-by-citing weight matrix with one label per node.
 
-    Dense entries are a read-only copy.  A CSR input in canonical form
-    (sorted indices, no duplicates) above :data:`DENSE_LIMIT` nodes is held
-    without a copy: the matrix shares the caller's arrays, and they stay
-    writable, so a caller that writes to them after construction changes this
-    matrix past validation.  Copying would cost every library build a copy,
-    and marking them read-only would change the caller's own arrays, so such
-    a caller must copy its CSR first or leave it alone.
+    The matrix owns its entries: a dense array, or above :data:`DENSE_LIMIT`
+    nodes a canonical CSR array (sorted indices, no duplicates), read-only and
+    shared with no caller.  A CSR input is copied, since its caller still
+    holds its arrays; any other input is converted into new arrays.
     """
 
     labels: tuple[str, ...]
@@ -187,7 +190,7 @@ def from_arcs(
     order above it: the same bits on integer weights or unrepeated arcs."""
     n = len(labels)
     if n > DENSE_LIMIT:
-        entries = _sparse().coo_array((weights, (rows, cols)), shape=(n, n)).tocsr()
+        entries = _sparse().coo_array((weights, (rows, cols)), shape=(n, n))
     else:
         entries = np.zeros((n, n))
         np.add.at(entries, (rows, cols), weights)

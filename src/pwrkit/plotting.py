@@ -15,7 +15,7 @@ from itertools import compress
 import numpy as np
 
 from .engine import ContractError, TraceTable
-from .formats import _CHUNK
+from .matrix import _CHUNK
 
 _PALETTE = (
     "#1f77b4",

@@ -111,9 +111,11 @@ def load_cli_corpus() -> list[dict]:
     comment and a label holding a carriage return, before the Pajek reader
     stopped splitting its whole text into lines; the two after those, a comment
     before ``*Vertices`` with good arcs and with a bad arc line, before every
-    head came to be read line by line and the arcs after it in bulk; and the
-    last, an external metric in units of 2**-540, when a correlation came to
-    scale a spread below 1 up by a power of two, so that it exits 0, not 2.  An
+    head came to be read line by line and the arcs after it in bulk; the one
+    after those, an external metric in units of 2**-540, when a correlation came
+    to scale a spread below 1 up by a power of two, so that it exits 0, not 2;
+    and the last, an external metric with twelve foreign labels, when every
+    message came to name ten items at most, then a count of the rest.  An
     intended output change regenerates only the digests it affects, and the
     CHANGES.md entry of that change names each one and says why; no digest is
     regenerated wholesale.

@@ -218,6 +218,21 @@ class TestCorrelations:
         with pytest.raises(ValueError, match="zero-variance"):
             pearson(x, metric("y", "A B", [1, 2]))
 
+    @pytest.mark.parametrize(
+        "values",
+        [[0.1] * 3, [1 / 3] * 10, [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]],
+        ids=["tenth", "third", "negative-zero-first", "zero-first"],
+    )
+    def test_constant_metric_has_zero_variance(self, values):
+        # the means of three 0.1s and of ten 1/3s miss them by a rounding error
+        labels = " ".join(f"J{i}" for i in range(len(values)))
+        x = metric("x", labels, values)
+        y = metric("y", labels, [(7 * i) % len(values) for i in range(len(values))])
+        for call in (pearson, spearman):
+            for args in ((x, y), (y, x)):
+                with pytest.raises(ContractError, match="zero-variance"):
+                    call(*args)
+
     def test_non_finite_rejected(self):
         x = metric("x", "A B", [1, np.inf])
         with pytest.raises(ValueError, match="finite"):
@@ -283,6 +298,17 @@ class TestAlignment:
         other = metric("m", "A X", [1, 2])
         with pytest.raises(ValueError, match="missing \\['B'\\]"):
             align_to(ref, other)
+
+    @pytest.mark.parametrize("call", [align_to, pearson], ids=["align_to", "pearson"])
+    def test_20k_foreign_labels_give_one_bounded_message(self, call):
+        ref = metric("ref", "A B", [1, 2])
+        foreign = tuple(f"FOREIGN-JOURNAL-{i:05d}" for i in range(20_000))
+        other = MetricVector("m", ("A", "B", *foreign), np.arange(20_002.0))
+        with pytest.raises(ValueError) as excinfo:
+            call(ref, other)
+        message = str(excinfo.value)
+        assert len(message.encode("utf-8")) < 1024
+        assert message.endswith(f"{list(foreign[:10])} (and 19990 more)")
 
     def test_compare_rankings_table_shape(self):
         x = metric("x", "A B C", [1, 2, 3])

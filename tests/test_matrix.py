@@ -57,12 +57,30 @@ class TestConstruction:
         z = CitationMatrix(labels, np.zeros((n, n)))
         assert z.is_sparse
 
-    def test_canonical_csr_input_is_held_without_a_copy(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: sparse.eye_array(n, format="csr"),
+            lambda n: sparse.csr_matrix(sparse.eye_array(n)),
+            lambda n: sparse.eye_array(n, format="coo"),
+            lambda n: sparse.eye_array(n, format="csc"),
+        ],
+        ids=["csr_array", "csr_matrix", "coo", "csc"],
+    )
+    def test_sparse_input_is_owned_read_only_csr(self, make):
         n = DENSE_LIMIT + 1
-        m = sparse.eye_array(n, format="csr")
+        m = make(n)
+        # the caller's arrays: data, then indptr and indices, or COO's coordinates
+        held = [m.data, *(m.coords if m.format == "coo" else (m.indptr, m.indices))]
         z = CitationMatrix(tuple(f"J{i}" for i in range(n)), m)
-        for attr in ("indptr", "indices", "data"):
-            assert np.shares_memory(getattr(z.entries, attr), getattr(m, attr))
+        assert z.entries.format == "csr"
+        stored = (z.entries.indptr, z.entries.indices, z.entries.data)
+        assert not any(np.shares_memory(a, b) for a in stored for b in held)
+        assert not any(part.flags.writeable for part in stored)
+        with pytest.raises(ValueError):
+            z.entries.data[0] = -5.0
+        m.data[0] = -5.0
+        assert z.entry(0, 0) == 1.0
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="2x2"):
@@ -75,6 +93,13 @@ class TestConstruction:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             build("A B", [[0, float("nan")], [0, 0]])
+
+    @pytest.mark.parametrize("n", [2, DENSE_LIMIT + 1])
+    def test_rejects_repeated_entries_that_sum_past_double_range(self, n):
+        # each weight is finite; the entry they add up to is not
+        m = sparse.csr_array(([1e308, 1e308], [0, 0], [0, 2] + [2] * (n - 1)), shape=(n, n))
+        with pytest.raises(ValueError, match="finite"):
+            CitationMatrix(tuple(f"J{i}" for i in range(n)), m)
 
     def test_rejects_duplicate_label(self):
         with pytest.raises(ValueError, match="duplicate"):
