@@ -10,7 +10,8 @@ undefined on well-formed input (a library :class:`ContractError` such as zero
 weakness under the error policy, an :class:`IterationLimitError`, an empty
 subset, or an edgeless similarity graph).  Non-convergence of the iteration
 is a diagnostic, not an error, and still exits 0.  Only :func:`main` maps
-exceptions to exit codes; any other ``ValueError`` or ``KeyError``, and a
+exceptions to exit codes, by their type alone: the commands raise, and
+never return a code.  Any other ``ValueError`` or ``KeyError``, and a
 ``MemoryError`` (an input or flag asking for more memory than the host has),
 exits 1.
 When results stream to standard output, auxiliary summaries go to standard
@@ -78,14 +79,6 @@ EXIT_CONTRACT = 2
 _ZERO_DIV_FLAGS = {"zero": ZeroDivision.ZERO, "inf": ZeroDivision.INFINITE, "error": ZeroDivision.ERROR}
 
 
-class CliError(Exception):
-    """Carries the exit code and the message printed to standard error."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _message(exc: BaseException) -> str:
     # str(KeyError) wraps the message in repr quotes; unwrap it.
     if isinstance(exc, KeyError) and exc.args:
@@ -112,7 +105,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits on usage errors; surface them as regular input errors
     # instead so exit codes stay meaningful.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise CliError(EXIT_INPUT, f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _detect_format(path: Path, override: str | None, default: str | None = None) -> str:
@@ -125,7 +118,7 @@ def _detect_format(path: Path, override: str | None, default: str | None = None)
         return "csv"
     if default:
         return default
-    raise CliError(EXIT_INPUT, f"cannot infer format of {path}; pass an explicit format flag")
+    raise ValueError(f"cannot infer format of {path}; pass an explicit format flag")
 
 
 def _read_text(path: Path) -> str:
@@ -133,7 +126,7 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_matrix(path_str: str, fmt: str | None) -> CitationMatrix:
@@ -143,7 +136,7 @@ def _load_matrix(path_str: str, fmt: str | None) -> CitationMatrix:
     try:
         return read_pajek(text) if kind == "pajek" else read_csv_matrix(text)
     except ParseError as exc:
-        raise CliError(EXIT_INPUT, f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _matrix_text(z: CitationMatrix, kind: str) -> str:
@@ -155,7 +148,7 @@ def _write_file(path_str: str, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(text: str, output: str | None, summary: str | None = None) -> None:
@@ -190,7 +183,7 @@ def _summary_line(report: ConvergenceReport) -> str:
     return line
 
 
-def cmd_pwr(args: argparse.Namespace) -> int:
+def cmd_pwr(args: argparse.Namespace) -> None:
     z = _load_matrix(args.input, args.format)
     opts = _options_from(args)
     trace = pwr_trace(z, opts)
@@ -198,24 +191,22 @@ def cmd_pwr(args: argparse.Namespace) -> int:
     if args.plot:
         _write_file(args.plot, render_convergence_svg(trace))
     _emit(write_trace_csv(trace), args.output, _summary_line(report))
-    return EXIT_OK
 
 
-def cmd_scc(args: argparse.Namespace) -> int:
+def cmd_scc(args: argparse.Namespace) -> None:
     z = _load_matrix(args.input, args.format)
     if args.largest:
         if not args.output:
-            raise CliError(EXIT_INPUT, "--largest needs --output to receive the subgraph")
+            raise ValueError("--largest needs --output to receive the subgraph")
         sub = largest_strong_component(z)
         kind = _detect_format(Path(args.output), args.output_format, default="csv")
         _write_file(args.output, _matrix_text(sub, kind))
         print(f"wrote largest component ({sub.n} node(s)) to {args.output}")
-        return EXIT_OK
+        return
     result = strongly_connected_components(z)
     print(f"{len(result.components)} strongly connected component(s)")
     for idx, comp in enumerate(result.components):
         print(f"component {idx}: size {len(comp)}: {', '.join(comp.labels)}")
-    return EXIT_OK
 
 
 def _read_label_file(path_str: str, z: CitationMatrix) -> NodeSet:
@@ -225,40 +216,36 @@ def _read_label_file(path_str: str, z: CitationMatrix) -> NodeSet:
     try:
         return NodeSet.from_labels(z, names)
     except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_INPUT, f"{path}: {_message(exc)}") from exc
+        raise ValueError(f"{path}: {_message(exc)}") from exc
 
 
-def cmd_subset(args: argparse.Namespace) -> int:
+def cmd_subset(args: argparse.Namespace) -> None:
     z = _load_matrix(args.input, args.format)
     subset = citing_threshold_subset(z, args.target, args.min)
     if args.union_with:
         subset = union_subset(subset, _read_label_file(args.union_with, z))
     if len(subset) == 0:
-        raise CliError(
-            EXIT_CONTRACT,
-            f"no journal cites {args.target!r} at least {args.min} times; subset is empty",
+        raise ContractError(
+            f"no journal cites {args.target!r} at least {args.min} times; subset is empty"
         )
     sub = extract_subgraph(z, subset)
     kind = _detect_format(Path(args.output or ""), args.output_format, default="csv")
     _emit(_matrix_text(sub, kind), args.output, f"kept {sub.n} of {z.n} journal(s)")
-    return EXIT_OK
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> None:
     z = _load_matrix(args.input, args.format)
     # no name holds the similarity pairs, so they are freed before Louvain runs
     graph = threshold_graph(citing_cosine_matrix(z, args.cosine_diagonal), args.cosine_threshold)
     if not graph.edges:
-        raise CliError(
-            EXIT_CONTRACT,
+        raise ContractError(
             f"no similarity exceeds {args.cosine_threshold}; "
-            "modularity is undefined on an edgeless graph",
+            "modularity is undefined on an edgeless graph"
         )
     partition = louvain_partition(graph, resolution=args.resolution)
     rows = map("{},{}".format, map(csv_cell, partition.labels), partition.community_of)
     payload = "\n".join(["label,community", *rows]) + "\n"
     _emit(payload, args.output, f"Q={partition.q!r} communities={partition.n_communities}")
-    return EXIT_OK
 
 
 def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricVector]:
@@ -276,24 +263,24 @@ def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricV
         elif key == "hits":
             columns.extend(hits(z))
         else:
-            raise CliError(EXIT_INPUT, f"unknown metric {name!r}; pick from pwr, cf, pagerank, hits")
+            raise ValueError(f"unknown metric {name!r}; pick from pwr, cf, pagerank, hits")
     return columns
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     z = _load_matrix(args.input, args.format)
     columns = _metric_columns(z, args)
     for pair in args.external or []:
         name, _, path_str = pair.partition("=")
         if not name or not path_str:
-            raise CliError(EXIT_INPUT, f"--external expects name=file.csv, got {pair!r}")
+            raise ValueError(f"--external expects name=file.csv, got {pair!r}")
         path = Path(path_str)
         text = _read_text(path)
         try:
             metric = read_metric_csv(text, name=name)
             columns.append(align_to(columns[0], metric))
         except ValueError as exc:
-            raise CliError(EXIT_INPUT, f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
 
     names = [csv_cell(m.name) for m in columns]
     lines = ["label," + ",".join(names)]
@@ -309,23 +296,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sys.stdout.write(payload)
     if args.output:
         _write_file(args.output, payload)
-    return EXIT_OK
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: argparse.Namespace) -> None:
     in_kind = _detect_format(Path(args.input), args.input_format)
     out_kind = _detect_format(Path(args.output), args.output_format)
     if in_kind == out_kind and not args.force:
-        raise CliError(
-            EXIT_INPUT, f"input and output are both {in_kind}; pass --force to rewrite anyway"
-        )
+        raise ValueError(f"input and output are both {in_kind}; pass --force to rewrite anyway")
     z = _load_matrix(args.input, args.input_format)
     _write_file(args.output, _matrix_text(z, out_kind))
     print(
         f"wrote {args.output} ({z.n} node(s), grand total {_format_total(grand_total(z))})",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
 def _format_total(value: float) -> str:
@@ -339,7 +322,7 @@ def build_parser() -> _Parser:
 
     Parsing leaves the parser as it was: each ``parse_args`` returns a new
     namespace, ``--external`` starts each call from no list, and a usage error
-    raises :class:`CliError`.  Each subcommand's ``func`` is the ``cmd_*``
+    raises ``ValueError``.  Each subcommand's ``func`` is the ``cmd_*``
     function bound at the first build, so a ``cmd_*`` replaced later is not
     called; the names a ``cmd_*`` calls are looked up when it runs.
     """
@@ -425,10 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        args.func(args)
+        return EXIT_OK
     except (ContractError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

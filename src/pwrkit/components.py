@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ContractError
+from .engine import ContractError, bounded_list
 from .matrix import CitationMatrix, NodeSet, extract_subgraph
 
 
@@ -28,14 +28,19 @@ class SccResult:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
 
+    def __repr__(self) -> str:
+        count = len(self.components)
+        sizes = bounded_list(map(len, self.components), count)
+        return f"SccResult({count} components of {len(self.component_of)} nodes, sizes {sizes})"
+
 
 def _component_ids(z: CitationMatrix) -> np.ndarray:
     """Component id per node; ids ascend with each component's smallest member."""
     # imported here: csgraph pulls in scipy.linalg, a start-up cost only scc needs
     from scipy.sparse.csgraph import connected_components
 
-    # csgraph counts explicit stored zeros as arcs; a CSR matrix can hold them.
-    _count, raw = connected_components(z.entries != 0, directed=True, connection="strong")
+    # csgraph counts a stored zero as an arc, and a matrix stores none
+    _count, raw = connected_components(z.entries, directed=True, connection="strong")
     # raw ids are 0..count-1; first[c] is the smallest member of raw component c
     _ids, first = np.unique(raw, return_index=True)
     return np.argsort(np.argsort(first))[raw]

@@ -37,10 +37,13 @@ log = logging.getLogger(__name__)
 
 _QUOTED_VERTEX = re.compile(r'^(\d+)\s+"([^"]*)"$')
 _BARE_VERTEX = re.compile(r"^(\d+)\s+(\S+)$")
-# A line that opens a section, at the start of the text or after a LF; after
-# the first, one is found faster by the LF before it.
-_SECTION = re.compile(r"^[ \t]*\*", re.M)
-_NEXT_SECTION = re.compile(r"\n[ \t]*\*")
+# The line breaks of str.splitlines, CR LF first: each counts as one break, so
+# making each a LF moves no line.
+_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# A line that opens a section: "*" behind what str.strip strips (\s), at the
+# start or after a LF; after the first, one is found faster by the LF before it.
+_SECTION = re.compile(r"^\s*\*", re.M)
+_NEXT_SECTION = re.compile(r"\n\s*\*")
 # The characters that make csv_cell quote a cell.
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
@@ -79,18 +82,19 @@ def _number_cells(values: np.ndarray) -> list[str]:
 def read_pajek(text: str) -> CitationMatrix:
     """Parse a network file with ``*Vertices`` and ``*Arcs`` sections.
 
-    Lines may end in LF, CR LF or CR.  The head, up to the line that opens
-    the section after the vertex lines, is read one line at a time, whatever
-    it holds.  The arc lines after its ``*Arcs`` line are read in bulk, a
-    slice at a time, while each line holds three ASCII digit runs of at most
-    15 digits, separated by spaces or tabs, with both endpoints in 1..n; from
-    the first slice that is not plain, the rest is read one line at a time.
-    Only the line-by-line reads raise errors, so each names the line it is
-    on; on input both arc routes take, they return the same arrays.
+    Lines may end in any break that ``str.splitlines`` knows.  The head, up
+    to the line that opens the section after the vertex lines, is read one
+    line at a time, whatever it holds.  The arc lines after its ``*Arcs``
+    line are read in bulk, a slice at a time, while each line holds three
+    ASCII digit runs of at most 15 digits, separated by spaces or tabs, with
+    both endpoints in 1..n; from the first slice that is not plain, the rest
+    is read one line at a time.  Only the line-by-line reads raise errors, so
+    each names the line it is on; on input both arc routes take, they return
+    the same arrays.
     """
-    # splitlines counts CR LF, and a CR alone, as one break each, so making
-    # each a LF moves no line
-    text = text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    text = text.lstrip("\ufeff")
+    for brk in _BREAKS:
+        text = text.replace(brk, "\n")
     # the head ends with the LF line that opens the second section
     first = _SECTION.search(text)
     second = first and _NEXT_SECTION.search(text, first.end())

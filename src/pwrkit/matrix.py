@@ -8,7 +8,8 @@ switch to compressed sparse rows so complete-database-scale inputs stay
 tractable.  All operations are pure: they return new objects and never mutate.
 A matrix owns its entries on either storage: read-only arrays that no caller
 holds, so nothing can change them past validation.  The constructor is the one
-place where a sparse input becomes CSR.
+place where a sparse input becomes CSR, and canonical: sorted indices, no
+duplicates and no stored zeros, so no reader of CSR storage skips a zero.
 
 Storage is decided here, by the node count: in the constructor and in
 :func:`from_arcs`, the one way from arcs to either storage.  ``entry``,
@@ -60,10 +61,11 @@ def _canonical_entries(values: object, n: int) -> Entries:
     sparse = sys.modules.get("scipy.sparse")
     if sparse is not None and sparse.issparse(values):
         # copy=True copies a CSR input, whose arrays its caller holds; any other
-        # format is converted into new arrays.  Duplicates are summed first, so
-        # the checks below see the entries as stored.
+        # format is converted into new arrays.  Duplicates are summed and zeros
+        # dropped first, so the checks below see the entries as stored.
         mat = sparse.csr_array(values, dtype=np.float64, copy=True)
         mat.sum_duplicates()
+        mat.eliminate_zeros()
         weights = mat.data
     else:
         mat = weights = np.asarray(values, dtype=np.float64)
@@ -100,9 +102,10 @@ class CitationMatrix:
     """Square cited-by-citing weight matrix with one label per node.
 
     The matrix owns its entries: a dense array, or above :data:`DENSE_LIMIT`
-    nodes a canonical CSR array (sorted indices, no duplicates), read-only and
-    shared with no caller.  A CSR input is copied, since its caller still
-    holds its arrays; any other input is converted into new arrays.
+    nodes a canonical CSR array (sorted indices, no duplicates and no stored
+    zeros, so a ``-0.0`` cell reads as ``0.0``), read-only and shared with no
+    caller.  A CSR input is copied, since its caller still holds its arrays;
+    any other input is converted into new arrays.
     """
 
     labels: tuple[str, ...]
@@ -180,6 +183,12 @@ class NodeSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
 
+    def __repr__(self) -> str:
+        from .engine import bounded_list  # engine imports this module
+
+        labels = bounded_list(map(self.parent_labels.__getitem__, self.indices), len(self))
+        return f"NodeSet({len(self)} of {len(self.parent_labels)} nodes: {labels})"
+
 
 def from_arcs(
     labels: Sequence[str], rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
@@ -248,13 +257,13 @@ def extract_subgraph(z: CitationMatrix, nodes: NodeSet | Sequence[int]) -> Citat
 
 
 def nonzero_arrays(z: CitationMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and weights of the nonzero entries in row-major order."""
+    """Rows, columns and weights of the nonzero entries in row-major order; on
+    CSR storage the columns and weights are the matrix's own read-only arrays."""
     if not z.is_sparse:
         rows, cols = np.nonzero(z.entries)
         return rows, cols, z.entries[rows, cols]
     coo = z.entries.tocoo()
-    keep = coo.data != 0.0
-    return coo.row[keep], coo.col[keep], coo.data[keep]
+    return coo.row, coo.col, coo.data
 
 
 def nonzero_entries(z: CitationMatrix) -> Iterator[tuple[int, int, float]]:

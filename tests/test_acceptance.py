@@ -1,13 +1,18 @@
 """End-to-end acceptance checks.
 
 Each test prints one verdict line (bypassing capture) so a full run reads as
-a checklist.  Expected numbers come from the frozen tables in conftest and
-from independent in-test oracles; tolerances are stated next to each check.
+a checklist.  Expected numbers come from the frozen tables in conftest, from
+independent in-test oracles, or are frozen next to the check; tolerances are
+stated next to each check.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -17,9 +22,11 @@ from pwrkit import (
     PwrOptions,
     UndirectedGraph,
     citation_factor,
+    citing_cosine_matrix,
     column_sums,
     converged_pwr,
     convergence_report,
+    extract_subgraph,
     grand_total,
     louvain_partition,
     matrix_power_oracle,
@@ -32,6 +39,7 @@ from pwrkit import (
     row_sums,
     sjr_2013,
     strongly_connected_components,
+    threshold_graph,
     transpose,
     write_csv_matrix,
     write_pajek,
@@ -340,5 +348,67 @@ def test_10_format_round_trips(capsys, journals):
         capsys,
         10,
         f"lossless round-trips on {trials} random matrices and the bundled dataset",
+        problems,
+    )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _adjusted_rand_index(a, b) -> float:
+    """Agreement of two labelings of the same items, 1 when they are the same
+    partition and 0 in expectation for random ones (Hubert and Arabie 1985)."""
+    _, a = np.unique(a, return_inverse=True)
+    _, b = np.unique(b, return_inverse=True)
+    table = np.zeros((a.max() + 1, b.max() + 1))
+    np.add.at(table, (a, b), 1.0)
+
+    def pairs(counts) -> float:
+        return float((counts * (counts - 1) / 2).sum())
+
+    index, rows, cols = pairs(table), pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
+    expected = rows * cols / pairs(np.array([a.size]))
+    return (index - expected) / ((rows + cols) / 2 - expected)
+
+
+def test_11_planted_fields_converge_faster_than_the_whole_set(capsys, monkeypatch):
+    # the paper's finding: a heterogeneous set converges slowly, while each
+    # similarity cluster of it converges within a few dozen iterations
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_fields", PERFBENCH / "fields.py")
+    fields = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fields)
+    workloads = json.loads((PERFBENCH / "spec.json").read_text(encoding="utf-8"))["workloads"]
+    params = dict(workloads["fields-5k"]["generator"], n=1000)
+    n, field_size = params.pop("n"), params["field_size"]
+    z = read_pajek(fields.pajek_text(*fields.fields(n, 0, **params)))
+    opts = PwrOptions(k_max=300, tol=1e-6)
+
+    def k_converged(m: CitationMatrix) -> int | None:
+        return convergence_report(pwr_trace(m, opts), opts.tol).k_converged
+
+    # the CLI's default threshold and cosine diagonal
+    partition = louvain_partition(threshold_graph(citing_cosine_matrix(z), 0.01))
+    community_of = np.array(partition.community_of)
+    ari = _adjusted_rand_index(community_of, np.arange(n) % (n // field_size))
+    whole = k_converged(z)
+    parts = [
+        k_converged(extract_subgraph(z, np.flatnonzero(community_of == c).tolist()))
+        for c in range(partition.n_communities)
+    ]
+    problems = []
+    if partition.n_communities != 5:
+        problems.append(f"{partition.n_communities} communities, expected 5")
+    if abs(ari - 0.933) > 5e-4:
+        problems.append(f"ARI {ari:.4f} against the planted fields, expected 0.933")
+    if whole != 106:
+        problems.append(f"whole set converged at k = {whole}, expected 106")
+    if parts != [14, 17, 20, 20, 18]:
+        problems.append(f"communities converged at k = {parts}, expected [14, 17, 20, 20, 18]")
+    _verdict(
+        capsys,
+        11,
+        "n = 1,000 planted fields: 5 communities (ARI 0.933), each converged by k = 20,"
+        " the whole set at k = 106",
         problems,
     )

@@ -114,8 +114,17 @@ def load_cli_corpus() -> list[dict]:
     head came to be read line by line and the arcs after it in bulk; the one
     after those, an external metric in units of 2**-540, when a correlation came
     to scale a spread below 1 up by a power of two, so that it exits 0, not 2;
-    and the last, an external metric with twelve foreign labels, when every
-    message came to name ten items at most, then a count of the rest.  An
+    the one after that, an external metric with twelve foreign labels, when
+    every message came to name ten items at most, then a count of the rest;
+    and the last nine before the exit code of an error came to be chosen by
+    its type alone, one for each error the CLI raises itself that no earlier
+    case covered: ``error-cannot-infer-format``, ``error-input-cannot-be-read``,
+    ``error-largest-without-output``, ``error-largest-into-missing-directory``,
+    ``error-convert-same-format-without-force``,
+    ``error-external-without-equals``, ``error-unknown-metric``,
+    ``error-subset-empty`` and ``error-decompose-edgeless-graph`` (the last
+    two exit 2).  Usage errors are left to ``TestTopLevel``, since argparse
+    words them differently from one Python to the next.  An
     intended output change regenerates only the digests it affects, and the
     CHANGES.md entry of that change names each one and says why; no digest is
     regenerated wholesale.

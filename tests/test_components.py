@@ -214,5 +214,15 @@ def test_sparse_components_ignore_stored_zeros():
         shape=(n, n),
     )
     z = CitationMatrix(tuple(f"J{i}" for i in range(n)), mat)
-    assert z.is_sparse and (z.entries.data == 0.0).any()
+    assert z.is_sparse and not (z.entries.data == 0.0).any()
     assert_matches_networkx(z)
+
+
+def test_repr_of_thousands_of_components_stays_bounded():
+    n = 3000
+    z = CitationMatrix(tuple(f"J{i}" for i in range(n)), sparse.csr_array((n, n)))
+    result = strongly_connected_components(z)
+    assert len(result.components) == n
+    text = repr(result)
+    assert len(text) < 1024
+    assert text.startswith(f"SccResult({n} components of {n} nodes") and "(and 2990 more)" in text

@@ -10,7 +10,9 @@ slices and a bad line may sit in a slice after ones that were read in bulk.
 At the default size, a section whose plain lines are followed by ones that
 only the per-line route reads must match too, with that route entered once.
 A benchmark-shaped file, its CR LF copy and a copy with a comment, a blank
-line and a bare label in its head must take the bulk arc route.  Memory
+line and a bare label in its head must take the bulk arc route.  A head
+ends at its ``*Arcs`` line also when a vertical tab breaks the line before
+it or a no-break space indents it.  Memory
 guards keep the reader from holding a whole-file token list and the CSV
 writer from holding an n x n array.
 """
@@ -242,6 +244,21 @@ def test_commented_head_takes_the_bulk_arc_route():
     assert z.is_sparse and z.labels == expected.labels
     for part in ("indptr", "indices", "data"):
         assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
+
+
+@pytest.mark.parametrize("before", ["\x0b", "\n\xa0"], ids=["vertical-tab-break", "no-break-space"])
+def test_head_ends_at_the_arcs_line_that_strip_finds(before):
+    # splitlines breaks at the vertical tab and strip strips the no-break
+    # space, so _read_head sees an *Arcs line; the head must end there too
+    n = 4_000
+    plain = fields_text(n, seed=0)  # about 20,000 arcs
+    text = plain.replace("\n*Arcs\n", before + "*Arcs\n", 1)
+    assert text != plain
+    with mock.patch.object(formats, "_read_head", wraps=formats._read_head) as head:
+        z = read_pajek(text)
+    [call] = head.call_args_list
+    assert len(call.args[0]) <= n + 3
+    assert z == read_pajek(plain)
 
 
 def mixed_chunks_text(bad_endpoint: bool = False) -> str:

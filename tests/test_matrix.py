@@ -161,6 +161,14 @@ class TestNodeSet:
         with pytest.raises(ValueError, match="out of range"):
             NodeSet(("A", "B"), (2,))
 
+    def test_repr_of_a_large_parent_stays_bounded(self):
+        labels = tuple(f"J{i:06d}" for i in range(100_000))
+        text = repr(NodeSet(labels, range(100_000)))
+        assert len(text) < 1024
+        assert text.startswith("NodeSet(100000 of 100000 nodes: ['J000000',")
+        assert text.endswith("'J000009'] (and 99990 more))")
+        assert repr(NodeSet(labels, (7, 2))) == "NodeSet(2 of 100000 nodes: ['J000007', 'J000002'])"
+
 
 class TestOperations:
     def test_transpose_swaps_entries(self):
@@ -326,13 +334,13 @@ def stored_as_csr(z: CitationMatrix) -> CitationMatrix:
 
 
 def stored_cell_by_cell(z: CitationMatrix) -> CitationMatrix:
-    """The same matrix in CSR storage with every cell stored, so its zeros of
-    either sign are explicit entries."""
+    """The same matrix built from a CSR input with every cell stored, its
+    zeros of either sign included."""
     rows, cols = np.indices((z.n, z.n)).reshape(2, -1)
     coo = sparse.coo_array((z.to_dense().ravel(), (rows, cols)), shape=(z.n, z.n))
     with csr_storage():
         full = CitationMatrix(z.labels, coo.tocsr())
-    assert full.entries.nnz == z.n * z.n
+    assert full.entries.nnz == np.count_nonzero(z.to_dense())
     return full
 
 
@@ -496,6 +504,41 @@ def test_dense_from_arcs_has_the_bits_of_the_csr_route(arcs):
         csr, expected = matrix.from_arcs(*arcs), reference_matrix.from_arcs(*arcs)
     assert csr.is_sparse and csr == expected == z
     assert csr.to_dense().tobytes() == z.entries.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(arc_arrays(), st.lists(st.integers(0, 5), unique=True))
+@example(
+    (tuple(f"J{i}" for i in range(1100)), np.array([0, 5, 5]), np.array([3, 5, 5]),
+     np.array([0.0, -0.0, -0.0])),
+    [5, 0, 3],
+)
+def test_no_route_to_csr_storage_stores_a_zero(arcs, picks):
+    z = matrix.from_arcs(*arcs)
+    idx = [i for i in picks if i < z.n]
+    dense = z.to_dense()
+    # every cell stored, the zero cells alternating +0.0 and -0.0
+    odd = np.add.outer(np.arange(z.n), np.arange(z.n)) % 2 == 1
+    cells = np.where((dense == 0.0) & odd, -0.0, dense)
+    rows, cols = np.indices(dense.shape).reshape(2, -1)
+    coo = sparse.coo_array((cells.ravel(), (rows, cols)), shape=dense.shape)
+    with csr_storage():
+        csr = matrix.from_arcs(*arcs)
+        routes = [
+            (csr, z),
+            (transpose(csr), transpose(z)),
+            (zero_diagonal(csr), zero_diagonal(z)),
+            (extract_subgraph(csr, idx), extract_subgraph(z, idx)),
+            *((CitationMatrix(z.labels, m), z) for m in (coo.tocsr(), coo.tocsc(), coo)),
+        ]
+    for got, expected in routes:
+        m = got.entries
+        assert got.is_sparse and m.format == "csr" and m.has_canonical_format
+        assert (m.data != 0.0).all()
+        assert not any(part.flags.writeable for part in (m.indptr, m.indices, m.data))
+        assert got == expected and expected == got
+        assert got.to_dense().tolist() == expected.to_dense().tolist()
+        assert not np.signbit(got.to_dense()).any()
 
 
 @settings(max_examples=120, deadline=None)
