@@ -12,9 +12,9 @@ only the per-line route reads must match too, with that route entered once.
 A benchmark-shaped file, its CR LF copy and a copy with a comment, a blank
 line and a bare label in its head must take the bulk arc route.  A head
 ends at its ``*Arcs`` line also when a vertical tab breaks the line before
-it or a no-break space indents it.  Memory
-guards keep the reader from holding a whole-file token list and the CSV
-writer from holding an n x n array.
+it or a no-break space indents it.  Memory guards keep the reader from
+holding a whole-file token list and the CSV writer from holding an n x n
+array.
 """
 
 from __future__ import annotations
