@@ -94,7 +94,8 @@ def read_pajek(text: str) -> CitationMatrix:
     """
     text = text.lstrip("\ufeff")
     for brk in _BREAKS:
-        text = text.replace(brk, "\n")
+        if brk[0] in text:  # one scan; the CR LF search runs only past a CR
+            text = text.replace(brk, "\n")
     # the head ends with the LF line that opens the second section
     first = _SECTION.search(text)
     second = first and _NEXT_SECTION.search(text, first.end())
@@ -273,7 +274,8 @@ def write_pajek(z: CitationMatrix) -> str:
 def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
     """The records, each with the number of the line it starts on: one past
     the last line of the record before it, which a quoted line break moves."""
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    # the LF-ended lines io.StringIO yields, without its 4-byte-a-character copy
+    reader = csv.reader(re.findall(r"[^\n]*\n|[^\n]+", text.lstrip("\ufeff")))
     rows, line = [], 1
     try:
         for row in reader:
@@ -288,7 +290,9 @@ def read_csv_matrix(text: str) -> CitationMatrix:
     """Parse a matrix CSV: header of citing labels, one row per cited label.
 
     The leading header cell must be empty and row labels must repeat the
-    header labels in the same order.
+    header labels in the same order.  The nonzero cells become arcs that
+    ``from_arcs`` builds, as for a network file: no n x n array is filled,
+    and a ``-0`` cell reads as ``+0.0``.
     """
     rows = _csv_rows(text)
     if not rows:
@@ -302,7 +306,8 @@ def read_csv_matrix(text: str) -> CitationMatrix:
     if len(data_rows) != n:
         raise ParseError(f"expected {n} data rows to match the header, got {len(data_rows)}")
     cited: list[str] = []
-    values = np.zeros((n, n), dtype=np.float64)
+    # arrays, not lists: 24 bytes a nonzero cell, as in _arc_lines
+    src, dst, weight = array("q"), array("q"), array("d")
     for i, (r, row) in enumerate(data_rows):
         if len(row) != n + 1:
             raise ParseError(f"expected {n + 1} cells, got {len(row)}", line=r)
@@ -316,7 +321,10 @@ def read_csv_matrix(text: str) -> CitationMatrix:
                 raise ParseError(
                     f"column {c}: weights must be finite and >= 0, got {cell!r}", line=r
                 )
-            values[i, c - 2] = value
+            if value:
+                src.append(i)
+                dst.append(c - 2)
+                weight.append(value)
     if cited != citing:
         mismatch = next(i for i, (a, b) in enumerate(zip(cited, citing)) if a != b)
         raise ParseError(
@@ -324,7 +332,7 @@ def read_csv_matrix(text: str) -> CitationMatrix:
             f"position {mismatch}: {cited[mismatch]!r} vs {citing[mismatch]!r}"
         )
     try:
-        return CitationMatrix(tuple(citing), values)
+        return from_arcs(citing, *map(np.array, (src, dst, weight)))  # int64, int64, float64
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

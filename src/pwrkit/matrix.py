@@ -12,18 +12,19 @@ place where a sparse input becomes CSR, and canonical: sorted indices, no
 duplicates and no stored zeros, so no reader of CSR storage skips a zero.
 
 Storage is decided here, by the node count: in the constructor and in
-:func:`from_arcs`, the one way from arcs to either storage.  ``entry``,
-``==``, :func:`transpose`, :func:`extract_subgraph`, :func:`zero_diagonal`,
-both matrix writers and, on integer weights, ``citation_factor`` give the
-same bits on either storage.  ``pwr_trace``, ``pagerank`` and ``hits`` do
-not: dense ``@`` runs through BLAS, whose summation order CSR does not
-reproduce, so their results differ in the last bits with the side of
-:data:`DENSE_LIMIT` a matrix falls on.  Forks stay where one call would
-differ: :func:`nonzero_arrays`, ``to_dense`` and :func:`from_arcs` keep dense
-runs on numpy alone (``scipy.sparse`` costs as much start-up as numpy, so it
-is imported only when a CSR matrix is built or used); ``pagerank``'s walk
-(broadcasting over CSR gives other bits than ``@ diags``) and
-``citing_cosine_matrix``'s Gram matrix and norms (another summation order).
+:func:`from_arcs`, the one way from arcs, and from either reader's parsed
+input, to either storage.  ``entry``, ``==``, :func:`transpose`,
+:func:`extract_subgraph`, :func:`zero_diagonal`, both matrix writers and, on
+integer weights, ``citation_factor`` give the same bits on either storage.
+``pwr_trace``, ``pagerank`` and ``hits`` do not: dense ``@`` runs through
+BLAS, whose summation order CSR does not reproduce, so their results differ
+in the last bits with the side of :data:`DENSE_LIMIT` a matrix falls on.
+Forks stay where one call would differ: :func:`nonzero_arrays`, ``to_dense``
+and :func:`from_arcs` keep dense runs on numpy alone (``scipy.sparse`` costs
+as much start-up as numpy, so it is imported only when a CSR matrix is built
+or used); ``pagerank``'s walk (broadcasting over CSR gives other bits than
+``@ diags``) and ``citing_cosine_matrix``'s Gram matrix and norms (another
+summation order).
 """
 
 from __future__ import annotations

@@ -201,6 +201,12 @@ class TestCsvMatrix:
         with pytest.raises(ParseError, match="empty input"):
             read_csv_matrix("")
 
+    def test_negative_zero_cell_reads_as_the_network_file_weight_does(self):
+        # both readers build through from_arcs, so neither stores -0.0
+        from_csv = read_csv_matrix(",A,B\nA,-0,1\nB,2,0\n")
+        from_net = read_pajek('*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 1 -0\n1 2 1\n2 1 2\n')
+        assert from_csv.to_dense().tobytes() == from_net.to_dense().tobytes()
+
 
 TRACE_TEXT_HEADER = "label,k,power,weakness,ratio\n"
 

@@ -13,8 +13,8 @@ A benchmark-shaped file, its CR LF copy and a copy with a comment, a blank
 line and a bare label in its head must take the bulk arc route.  A head
 ends at its ``*Arcs`` line also when a vertical tab breaks the line before
 it or a no-break space indents it.  Memory guards keep the reader from
-holding a whole-file token list and the CSV writer from holding an n x n
-array.
+holding a whole-file token list and the CSV reader and writer from holding
+an n x n array.
 """
 
 from __future__ import annotations
@@ -28,7 +28,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from pwrkit import CitationMatrix, ParseError, formats, read_pajek, write_csv_matrix, write_pajek
+from pwrkit import (
+    CitationMatrix,
+    ParseError,
+    formats,
+    read_csv_matrix,
+    read_pajek,
+    write_csv_matrix,
+    write_pajek,
+)
 from pwrkit.matrix import DENSE_LIMIT
 
 from . import reference_formats as ref
@@ -341,3 +349,24 @@ def test_csv_writer_holds_no_square_array():
     # the text is about 2 n^2 bytes and is held twice while it is joined;
     # the rest of the writer must stay under a quarter of one n x n array
     assert peak - 2 * len(text) < square_bytes / 4
+
+
+def test_csv_reader_holds_no_square_array():
+    n = DENSE_LIMIT + 1
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1).ravel()
+    weights = np.tile([1.0, 2.0], n)
+    # scipy.sparse is imported above, so its import is not traced with the read
+    entries = sparse.csr_array((weights, (rows, cols)), shape=(n, n))
+    z = CitationMatrix(tuple(f"J{i}" for i in range(n)), entries)
+    text = write_csv_matrix(z)
+    tracemalloc.start()
+    try:
+        got = read_csv_matrix(text)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.is_sparse and got == z
+    # the records' cell pointers alone take 8 bytes a cell; an n x n float64
+    # array, or a copy of the text at four bytes a character, goes past 12
+    assert peak < 12 * n * n
