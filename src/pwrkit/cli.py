@@ -17,7 +17,10 @@ exits 1.
 When results stream to standard output, auxiliary summaries go to standard
 error so the data stays machine-readable; with ``--output`` the summaries
 use standard output.  ``convert``, which always writes ``--output``, is the
-exception: its ``wrote ...`` line goes to standard error.
+exception: its ``wrote ...`` line goes to standard error.  The commands only
+route text: :mod:`pwrkit.formats` decodes every file and builds every layout;
+a file's content errors get its path in front in :func:`_parsed`, and results
+leave through :func:`_emit` and :func:`_write_file`.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and serves every later call; it keeps no state from one call to the
@@ -30,7 +33,9 @@ import argparse
 import functools
 import logging
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import Any
 
 from . import __version__
 from .comparators import (
@@ -60,13 +65,14 @@ from .engine import (
     pwr_trace,
 )
 from .formats import (
-    ParseError,
-    csv_cell,
     read_csv_matrix,
     read_metric_csv,
     read_pajek,
+    read_text,
+    write_compare_table,
     write_csv_matrix,
     write_pajek,
+    write_partition_csv,
     write_trace_csv,
 )
 from .matrix import CitationMatrix, NodeSet, extract_subgraph, grand_total
@@ -121,22 +127,19 @@ def _detect_format(path: Path, override: str | None, default: str | None = None)
     raise ValueError(f"cannot infer format of {path}; pass an explicit format flag")
 
 
-def _read_text(path: Path) -> str:
-    # not read_text: its universal newlines rewrite a CR LF inside a quoted CSV label
+def _parsed(path: Path, parse: Callable[..., Any], *args: object) -> Any:
+    """``parse(*args)``, with ``path`` in front of an error in the file's content."""
     try:
-        return path.read_bytes().decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        return parse(*args)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: {_message(exc)}") from exc
 
 
 def _load_matrix(path_str: str, fmt: str | None) -> CitationMatrix:
     path = Path(path_str)
-    text = _read_text(path)
-    kind = _detect_format(path, fmt)
-    try:
-        return read_pajek(text) if kind == "pajek" else read_csv_matrix(text)
-    except ParseError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    text = read_text(path)  # a missing file is reported before an unknown suffix
+    parse = read_pajek if _detect_format(path, fmt) == "pajek" else read_csv_matrix
+    return _parsed(path, parse, text)
 
 
 def _matrix_text(z: CitationMatrix, kind: str) -> str:
@@ -200,8 +203,8 @@ def cmd_scc(args: argparse.Namespace) -> None:
             raise ValueError("--largest needs --output to receive the subgraph")
         sub = largest_strong_component(z)
         kind = _detect_format(Path(args.output), args.output_format, default="csv")
-        _write_file(args.output, _matrix_text(sub, kind))
-        print(f"wrote largest component ({sub.n} node(s)) to {args.output}")
+        summary = f"wrote largest component ({sub.n} node(s)) to {args.output}"
+        _emit(_matrix_text(sub, kind), args.output, summary)
         return
     result = strongly_connected_components(z)
     print(f"{len(result.components)} strongly connected component(s)")
@@ -209,21 +212,13 @@ def cmd_scc(args: argparse.Namespace) -> None:
         print(f"component {idx}: size {len(comp)}: {', '.join(comp.labels)}")
 
 
-def _read_label_file(path_str: str, z: CitationMatrix) -> NodeSet:
-    path = Path(path_str)
-    lines = _read_text(path).splitlines()
-    names = [line.strip() for line in lines if line.strip()]
-    try:
-        return NodeSet.from_labels(z, names)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: {_message(exc)}") from exc
-
-
 def cmd_subset(args: argparse.Namespace) -> None:
     z = _load_matrix(args.input, args.format)
     subset = citing_threshold_subset(z, args.target, args.min)
     if args.union_with:
-        subset = union_subset(subset, _read_label_file(args.union_with, z))
+        path = Path(args.union_with)
+        names = [line.strip() for line in read_text(path).splitlines() if line.strip()]
+        subset = union_subset(subset, _parsed(path, NodeSet.from_labels, z, names))
     if len(subset) == 0:
         raise ContractError(
             f"no journal cites {args.target!r} at least {args.min} times; subset is empty"
@@ -243,9 +238,8 @@ def cmd_decompose(args: argparse.Namespace) -> None:
             "modularity is undefined on an edgeless graph"
         )
     partition = louvain_partition(graph, resolution=args.resolution)
-    rows = map("{},{}".format, map(csv_cell, partition.labels), partition.community_of)
-    payload = "\n".join(["label,community", *rows]) + "\n"
-    _emit(payload, args.output, f"Q={partition.q!r} communities={partition.n_communities}")
+    summary = f"Q={partition.q!r} communities={partition.n_communities}"
+    _emit(write_partition_csv(partition), args.output, summary)
 
 
 def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricVector]:
@@ -275,24 +269,9 @@ def cmd_compare(args: argparse.Namespace) -> None:
         if not name or not path_str:
             raise ValueError(f"--external expects name=file.csv, got {pair!r}")
         path = Path(path_str)
-        text = _read_text(path)
-        try:
-            metric = read_metric_csv(text, name=name)
-            columns.append(align_to(columns[0], metric))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-    names = [csv_cell(m.name) for m in columns]
-    lines = ["label," + ",".join(names)]
-    cells = [map(repr, m.values.tolist()) for m in columns]
-    lines.extend(map(",".join, zip(map(csv_cell, columns[0].labels), *cells)))
-    lines += ["", "metric_x,metric_y,pearson,spearman"]
-    table = compare_rankings(columns)
-    for i in range(len(columns)):
-        for j in range(i + 1, len(columns)):
-            cmp = table[i][j]
-            lines.append(f"{names[i]},{names[j]},{cmp.pearson_r!r},{cmp.spearman_rho!r}")
-    payload = "\n".join(lines) + "\n"
+        metric = _parsed(path, read_metric_csv, read_text(path), name)
+        columns.append(_parsed(path, align_to, columns[0], metric))
+    payload = write_compare_table(compare_rankings(columns))
     sys.stdout.write(payload)
     if args.output:
         _write_file(args.output, payload)
@@ -413,7 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ContractError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    # ParseError and UnicodeDecodeError are ValueErrors too
     except (ValueError, KeyError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_INPUT

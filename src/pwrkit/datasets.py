@@ -11,7 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 from .comparators import MetricVector
-from .formats import read_csv_matrix, read_metric_csv
+from .formats import read_csv_matrix, read_metric_csv, read_text
 from .matrix import CitationMatrix
 
 
@@ -26,9 +26,9 @@ def data_path(name: str) -> Path:
 
 def jasist_plus_matrix() -> CitationMatrix:
     """The seven-journal cross-citation matrix."""
-    return read_csv_matrix(data_path("jasist_plus.csv").read_text(encoding="utf-8"))
+    return read_csv_matrix(read_text(data_path("jasist_plus.csv")))
 
 
 def sjr_2013() -> MetricVector:
     """Published SJR 2013 values for the bundled journals."""
-    return read_metric_csv(data_path("sjr2013.csv").read_text(encoding="utf-8"), name="sjr")
+    return read_metric_csv(read_text(data_path("sjr2013.csv")), name="sjr")

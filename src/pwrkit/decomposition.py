@@ -380,7 +380,7 @@ def modularity(
     for start in range(0, len(e), _CHUNK):
         part = slice(start, start + _CHUNK)
         i, j, w = e.i[part], e.j[part], e.w[part]
-        np.add.at(degree, _interleave(i, j), w.repeat(2))
+        np.add.at(degree, np.column_stack((i, j)).ravel(), w.repeat(2))
         ci = comm[i]
         same = ci == comm[j]
         np.add.at(internal, ci[same], w[same])
@@ -409,15 +409,12 @@ def _assignment_vector(
     return assignment
 
 
-def _node_dtype(count: int) -> type[np.unsignedinteger]:
+def _node_dtype(count: int) -> np.dtype:
     """Narrowest unsigned dtype holding 0..count-1.
 
     Up to 65,536 values fit uint16, which numpy's stable sort orders by radix.
     """
-    for dtype in (np.uint16, np.uint32):
-        if count <= np.iinfo(dtype).max + 1:
-            return dtype
-    return np.uint64
+    return np.promote_types(np.min_scalar_type(max(count - 1, 0)), np.uint16)
 
 
 def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,13 +435,12 @@ def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     gathered (18 bytes per end in all).
     """
     n, e = graph.n, graph.edges
-    dtype = _node_dtype(n)
     indptr = np.ones(n + 1, dtype=np.intp)  # row sizes, then their running sum
     indptr[0] = 0
     np.add.at(indptr[1:], e.i, 1)
     np.add.at(indptr[1:], e.j, 1)
     np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=dtype)
+    indices = np.empty(indptr[-1], dtype=_node_dtype(n))
     data = np.empty(indptr[-1])
     free = indptr[:-1].copy()  # each row's next empty position
     indices[free] = np.arange(n)
@@ -456,7 +452,7 @@ def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
         A function, so that one chunk's temporaries are freed before the
         next chunk's are made."""
-        src = _interleave(e.i[part], e.j[part], dtype)
+        src = np.column_stack((e.i[part], e.j[part])).ravel()
         counts = np.bincount(src, minlength=n)
         order = src.argsort(kind="stable")
         order ^= 1  # the other end of the same edge
@@ -482,14 +478,6 @@ def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     for start in range(0, len(e), _CHUNK):
         place(slice(start, start + _CHUNK))
     return indptr, indices, data
-
-
-def _interleave(a: np.ndarray, b: np.ndarray, dtype: type = np.intp) -> np.ndarray:
-    """a[0], b[0], a[1], b[1], ...: both ends of every edge, in edge order."""
-    out = np.empty(2 * len(a), dtype=dtype)
-    out[0::2] = a
-    out[1::2] = b
-    return out
 
 
 def _degrees(indptr: np.ndarray, data: np.ndarray) -> list[float]:

@@ -211,20 +211,14 @@ def bounded_list(items: Iterable, count: int, show: Callable[[list], str] = str)
 
 
 def _warn_one_sided(z: CitationMatrix) -> None:
-    cited_only = np.nonzero(column_sums(z) == 0.0)[0]
-    citing_only = np.nonzero(row_sums(z) == 0.0)[0]
-    if len(cited_only):
-        log.warning(
-            "%d node(s) cite nothing within the set and will score extreme ratios: %s",
-            len(cited_only),
-            bounded_list(map(z.labels.__getitem__, cited_only), len(cited_only), ", ".join),
-        )
-    if len(citing_only):
-        log.warning(
-            "%d node(s) are never cited within the set: %s",
-            len(citing_only),
-            bounded_list(map(z.labels.__getitem__, citing_only), len(citing_only), ", ".join),
-        )
+    for sums, wording in (
+        (column_sums(z), "cite nothing within the set and will score extreme ratios"),
+        (row_sums(z), "are never cited within the set"),
+    ):
+        nodes = np.flatnonzero(sums == 0.0)
+        if len(nodes):
+            shown = bounded_list(map(z.labels.__getitem__, nodes), len(nodes), ", ".join)
+            log.warning("%d node(s) %s: %s", len(nodes), wording, shown)
 
 
 def pwr_trace(z: CitationMatrix, options: PwrOptions | None = None) -> PwrTrace:

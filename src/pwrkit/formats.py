@@ -2,12 +2,13 @@
 
 Three formats are exchanged: network files with explicit vertex and arc
 sections, citation-matrix CSV mirroring the usual table layout (rows cited,
-columns citing), and flat CSVs for iteration traces and external per-journal
-metrics.  Parsers reject malformed input with a positioned error instead of
-guessing; writers emit deterministic LF-terminated UTF-8 so identical data
-produces identical bytes.  Every CSV writer quotes by one rule,
-:func:`csv_cell`, so every label reads back and the bytes are the same on
-every supported Python.
+columns citing), and flat CSVs for iteration traces, per-journal metrics,
+partitions and the ``compare`` table.  This module owns every layout and the
+one decode rule for files, :func:`read_text`; the CLI only routes text.
+Parsers reject malformed input with a positioned error instead of guessing;
+writers emit deterministic LF-terminated UTF-8 so identical data produces
+identical bytes.  Every CSV writer quotes by one rule, :func:`csv_cell`, so
+every label reads back and the bytes are the same on every supported Python.
 
 Arc orientation in network files follows the cited-to-citing convention:
 an arc line ``src dst w`` adds w citations to ``Z[src-1][dst-1]``, i.e. src
@@ -19,17 +20,18 @@ round-trips are lossless.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import logging
 import math
 import re
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from pathlib import Path
 
 import numpy as np
 
-from .comparators import MetricVector
+from .comparators import MetricVector, RankingComparison
+from .decomposition import Partition
 from .engine import TraceTable, bounded_list
 from .matrix import _CHUNK, CitationMatrix, from_arcs, nonzero_arrays
 
@@ -63,6 +65,15 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_text(path: Path) -> str:
+    """The file as UTF-8 without a leading byte order mark, its line breaks as
+    stored: ``Path.read_text`` would rewrite a CR LF inside a quoted label."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _format_number(value: float) -> str:
@@ -340,11 +351,8 @@ def read_csv_matrix(text: str) -> CitationMatrix:
 def write_csv_matrix(z: CitationMatrix) -> str:
     """Inverse of :func:`read_csv_matrix`; integer weights stay integers."""
     # a lone empty header cell is quoted: a blank line would not read back
-    buffer = io.StringIO()
-    buffer.write(f",{','.join(map(csv_cell, z.labels))}\n" if z.n else '""\n')
-    for name, cells in zip(z.labels, _row_cells(z)):
-        buffer.write(f"{csv_cell(name)},{','.join(cells)}\n")
-    return buffer.getvalue()
+    header = ["", *map(csv_cell, z.labels)] if z.n else ['""']
+    return _labelled_table(header, z.labels, [map(",".join, _row_cells(z))])
 
 
 def csv_cell(text: str) -> str:
@@ -353,6 +361,13 @@ def csv_cell(text: str) -> str:
     if not _CSV_SPECIAL.search(text):
         return text
     return '"' + text.replace('"', '""') + '"'
+
+
+def _labelled_table(header: Iterable[str], labels: Iterable[str], columns: list, *tail: str) -> str:
+    """The header line, one line per label (its cell, then its cell of each
+    column) and the ``tail`` lines, LF-terminated and joined once."""
+    rows = map(",".join, zip(map(csv_cell, labels), *columns))
+    return "\n".join([",".join(header), *rows, *tail, ""])
 
 
 def _row_cells(z: CitationMatrix) -> Iterator[list[str]]:
@@ -443,5 +458,24 @@ def read_metric_csv(text: str, name: str = "external") -> MetricVector:
 
 
 def write_metric_csv(metric: MetricVector) -> str:
-    rows = map("{},{!r}".format, map(csv_cell, metric.labels), metric.values.tolist())
-    return "\n".join([",".join(METRIC_HEADER), *rows]) + "\n"
+    return _labelled_table(METRIC_HEADER, metric.labels, [map(repr, metric.values.tolist())])
+
+
+def write_partition_csv(partition: Partition) -> str:
+    """One ``label,community`` row per node, in matrix order."""
+    communities = map(str, partition.community_of)
+    return _labelled_table(("label", "community"), partition.labels, [communities])
+
+
+def write_compare_table(table: list[list[RankingComparison]]) -> str:
+    """The table of :func:`~pwrkit.comparators.compare_rankings`: each metric
+    per label at full precision, a blank line, then each pair's coefficients."""
+    columns = [row[0].x for row in table]
+    names = [csv_cell(m.name) for m in columns]
+    pairs = (
+        f"{names[i]},{names[j]},{table[i][j].pearson_r!r},{table[i][j].spearman_rho!r}"
+        for i, j in itertools.combinations(range(len(names)), 2)
+    )
+    cells = [map(repr, m.values.tolist()) for m in columns]
+    tail = ("", "metric_x,metric_y,pearson,spearman", *pairs)
+    return _labelled_table(["label", *names], columns[0].labels, cells, *tail)

@@ -172,6 +172,11 @@ class NodeSet:
             indices = tuple(position[name] for name in names)
         except KeyError as exc:
             raise KeyError(f"unknown label: {exc.args[0]!r}") from None
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise ValueError(f"duplicate label: {name!r}")
+            seen.add(name)
         return cls(parent.labels, indices)
 
     @property

@@ -473,6 +473,14 @@ class TestSubsetCommand:
         assert outputs[0] == outputs[1]
         assert read_csv_matrix(outputs[0].out).labels == ("B", "C")
 
+    def test_union_with_names_a_repeated_label(self, capsys, tmp_path):
+        labels = tmp_path / "dup.txt"
+        labels.write_text("J DOC\nJASIST\nJASIST\n", encoding="utf-8")
+        argv = ["subset", "--input", FIXTURE, "--target", "JASIST", "--union-with", str(labels)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"error: {labels}: duplicate label: 'JASIST'\n")
+
     def test_empty_subset_exits_2(self, capsys):
         code = main(["subset", "--input", FIXTURE, "--target", "JASIST", "--min", "99999"])
         _out, err = capsys.readouterr()

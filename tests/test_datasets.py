@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import pwrkit.datasets
 from pwrkit import column_sums, data_path, grand_total, jasist_plus_matrix, row_sums, sjr_2013
 
 from .conftest import GRAND_TOTAL_REFERENCE
@@ -58,3 +59,11 @@ def test_data_path_resolves():
 def test_data_path_unknown_name():
     with pytest.raises(FileNotFoundError):
         data_path("missing.csv")
+
+
+def test_bundled_loader_decodes_as_the_cli_does(monkeypatch, tmp_path):
+    # a byte order mark, and a quoted label whose CR LF universal newlines would rewrite
+    data = tmp_path / "matrix.csv"
+    data.write_bytes('\ufeff,"A\r\nB",C\r\n"A\r\nB",0,1\r\nC,1,0\r\n'.encode("utf-8"))
+    monkeypatch.setattr(pwrkit.datasets, "data_path", lambda name: data)
+    assert jasist_plus_matrix().labels == ("A\r\nB", "C")
