@@ -263,13 +263,17 @@ def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricV
 
 def cmd_compare(args: argparse.Namespace) -> None:
     z = _load_matrix(args.input, args.format)
-    columns = _metric_columns(z, args)
+    # every external file is read before any metric is computed, so a bad one
+    # fails fast; each is aligned to the computed metrics' labels after them
+    external = []
     for pair in args.external or []:
         name, _, path_str = pair.partition("=")
         if not name or not path_str:
             raise ValueError(f"--external expects name=file.csv, got {pair!r}")
         path = Path(path_str)
-        metric = _parsed(path, read_metric_csv, read_text(path), name)
+        external.append((path, _parsed(path, read_metric_csv, read_text(path), name)))
+    columns = _metric_columns(z, args)
+    for path, metric in external:
         columns.append(_parsed(path, align_to, columns[0], metric))
     payload = write_compare_table(compare_rankings(columns))
     sys.stdout.write(payload)

@@ -9,7 +9,12 @@ tractable.  All operations are pure: they return new objects and never mutate.
 A matrix owns its entries on either storage: read-only arrays that no caller
 holds, so nothing can change them past validation.  The constructor is the one
 place where a sparse input becomes CSR, and canonical: sorted indices, no
-duplicates and no stored zeros, so no reader of CSR storage skips a zero.
+duplicates and no stored zeros, so no reader of CSR storage skips a zero; and
+int32 ``indices`` and ``indptr`` while the node and entry counts fit int32
+(int64 past that), so a matvec reads 4 index bytes an entry, not 8.
+:func:`from_arcs` (both readers, :func:`zero_diagonal`) hands scipy its
+coordinates in that dtype, so no int64 CSR is built only to be narrowed;
+:func:`transpose` and :func:`extract_subgraph` keep their parent's.
 
 Storage is decided here, by the node count: in the constructor and in
 :func:`from_arcs`, the one way from arcs, and from either reader's parsed
@@ -56,6 +61,12 @@ def _sparse():
     return sparse
 
 
+def _index_dtype(n: int, nnz: int) -> type[np.signedinteger]:
+    """The dtype of CSR ``indices`` and ``indptr`` for n nodes and nnz entries:
+    int32 where both fit it, else int64."""
+    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
 def _canonical_entries(values: object, n: int) -> Entries:
     """Validate raw entries and store them by node count, read-only and unshared."""
     # no object can be a scipy sparse array before scipy.sparse is loaded
@@ -78,6 +89,9 @@ def _canonical_entries(values: object, n: int) -> Entries:
         raise ValueError("matrix entries must be non-negative")
     if n > DENSE_LIMIT:
         mat = _sparse().csr_array(mat)
+        index = _index_dtype(n, mat.nnz)
+        mat.indptr = mat.indptr.astype(index, copy=False)
+        mat.indices = mat.indices.astype(index, copy=False)
         for part in (mat.indptr, mat.indices, mat.data):
             part.flags.writeable = False
         return mat
@@ -103,8 +117,9 @@ class CitationMatrix:
     """Square cited-by-citing weight matrix with one label per node.
 
     The matrix owns its entries: a dense array, or above :data:`DENSE_LIMIT`
-    nodes a canonical CSR array (sorted indices, no duplicates and no stored
-    zeros, so a ``-0.0`` cell reads as ``0.0``), read-only and shared with no
+    nodes a canonical CSR array (sorted indices, no duplicates, no stored
+    zeros, so a ``-0.0`` cell reads as ``0.0``, and int32 index arrays where
+    the node and entry counts fit them), read-only and shared with no
     caller.  A CSR input is copied, since its caller still holds its arrays;
     any other input is converted into new arrays.
     """
@@ -205,7 +220,10 @@ def from_arcs(
     order above it: the same bits on integer weights or unrepeated arcs."""
     n = len(labels)
     if n > DENSE_LIMIT:
-        entries = _sparse().coo_array((weights, (rows, cols)), shape=(n, n))
+        # coordinates in the stored index dtype, so scipy builds CSR in it
+        index = _index_dtype(n, len(weights))
+        coords = (rows.astype(index, copy=False), cols.astype(index, copy=False))
+        entries = _sparse().coo_array((weights, coords), shape=(n, n))
     else:
         entries = np.zeros((n, n))
         np.add.at(entries, (rows, cols), weights)

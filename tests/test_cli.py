@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from pwrkit import (
     CitationMatrix,
     MetricVector,
+    citing_cosine_matrix,
     cli,
     data_path,
     engine,
@@ -672,6 +673,18 @@ class TestCompareCommand:
         assert code == 1
         assert "do not match" in err
 
+    def test_missing_external_fails_before_any_metric(self, caplog, capsys, tmp_path):
+        # C is never cited, so any engine run would warn before the error
+        data = _csv_file(tmp_path, ",A,B,C\nA,0,1,1\nB,1,0,1\nC,0,0,0\n")
+        missing = tmp_path / "missing.csv"
+        code = main(["compare", "--input", data, "--external", f"x={missing}"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: cannot read {missing}: ")
+        assert [record.getMessage() for record in caplog.records] == []
+
     def test_nan_tol_exits_1(self, capsys):
         code = main(["compare", "--input", FIXTURE, "--tol", "nan"])
         _out, err = capsys.readouterr()
@@ -904,6 +917,41 @@ def test_pajek_writer_round_trip_through_cli(tmp_path, capsys):
     assert main(["convert", "--input", str(src), "--output", str(out_path)]) == 0
     capsys.readouterr()
     assert read_csv_matrix(out_path.read_text(encoding="utf-8")) == z
+
+
+def test_node_ids_whose_products_pass_int32_keep_their_places(tmp_path, capsys):
+    # n * n > 2**31, so a row * n + column key of the similarity pairs kept in
+    # 32 bits wraps (49,998 * n goes negative), in 16 bits too (20,016 * n
+    # wraps to 65,280, 49,998 * n to 29,280), and the pairs leave row-major order
+    n = 50_000
+    arcs = [
+        (0, 49_999, 1), (20_000, 49_999, 2), (0, 49_998, 2), (20_000, 49_998, 4),
+        (49_999, 20_000, 5), (20_000, 0, 1),
+        (40_000, 20_016, 3), (49_997, 20_016, 1), (40_000, 45_000, 6), (49_997, 45_000, 2),
+    ]  # fmt: skip
+    lines = [f"*Vertices {n}", *(f'{v} "J{v:05d}"' for v in range(1, n + 1)), "*Arcs"]
+    src = tmp_path / "wide.net"
+    src.write_text("\n".join(lines + [f"{s + 1} {d + 1} {w}" for s, d, w in arcs]) + "\n")
+    core = tmp_path / "core.net"
+    assert main(["scc", "--input", str(src), "--largest", "--output", str(core)]) == 0
+    # the cycle J00001 -> J50000 -> J20001 -> J00001, in label order
+    assert core.read_text(encoding="utf-8") == (
+        '*Vertices 3\n1 "J00001"\n2 "J20001"\n3 "J50000"\n*Arcs\n1 3 1\n2 1 1\n2 3 2\n3 2 5\n'
+    )
+    pairs = citing_cosine_matrix(read_pajek(src.read_text(encoding="utf-8"))).pairs
+    assert list(zip(pairs.i.tolist(), pairs.j.tolist())) == [
+        (0, 49_998), (0, 49_999), (20_016, 45_000), (49_998, 49_999)
+    ]  # fmt: skip
+    capsys.readouterr()
+    assert main(["decompose", "--input", str(src)]) == 0
+    out, err = capsys.readouterr()
+    community = [int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+    assert len(community) == n
+    assert community[0] == community[49_998] == community[49_999]
+    assert community[20_016] == community[45_000] != community[0]
+    # every other journal is alone
+    assert len(set(community)) == n - 3
+    assert err.endswith(f"communities={n - 3}\n")
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,14 @@ def metric(name, labels, values):
     return MetricVector(name, tuple(labels.split()), np.asarray(values, dtype=float))
 
 
+def chain_matrix() -> tuple[CitationMatrix, np.ndarray]:
+    """A CSR chain: J{i + 1} cites J{i} with weight w[i], and J0 cites nothing."""
+    n = DENSE_LIMIT + 1
+    w = 1.0 + np.arange(n - 1) % 3
+    entries = sparse.csr_array((w, (np.arange(n - 1), np.arange(1, n))), shape=(n, n))
+    return CitationMatrix(tuple(f"J{i}" for i in range(n)), entries), w
+
+
 class TestMetricVector:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="2 values for 3 labels"):
@@ -127,6 +135,18 @@ class TestPagerank:
         assert excinfo.value.last is not None
         assert len(excinfo.value.last) == journals.n
 
+    def test_iteration_limit_carries_the_first_iterate_on_csr(self):
+        # one arc a row and a column, so every product is exact in any summation order
+        z, w = chain_matrix()
+        n = z.n
+        with pytest.raises(IterationLimitError) as excinfo:
+            pagerank(z, damping=0.85, max_iter=1)
+        walked = np.zeros(n)
+        walked[:-1] = (w * (1.0 / w)) * (1.0 / n)
+        # J0 cites nothing, so its mass spreads uniformly
+        first = 0.85 * (walked + (1.0 / n) / n) + (1.0 - 0.85) / n
+        assert np.array_equal(excinfo.value.last, first)
+
     def test_scale_invariance(self, journals):
         doubled = CitationMatrix(journals.labels, journals.to_dense() * 2.0)
         np.testing.assert_allclose(
@@ -177,6 +197,22 @@ class TestHits:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="no citations"):
             hits(build("A B", [[0, 0], [0, 0]]))
+
+    def test_iteration_limit_carries_the_first_iterates_on_csr(self):
+        z, w = chain_matrix()
+        n = z.n
+        with pytest.raises(IterationLimitError) as excinfo:
+            hits(z, max_iter=1)
+        authorities = np.zeros(n)
+        authorities[:-1] = w * (1.0 / n)
+        authorities /= authorities.sum()
+        hubs = np.zeros(n)
+        hubs[1:] = w * authorities[:-1]
+        hubs /= hubs.sum()
+        last_hubs, last_authorities = excinfo.value.last
+        assert np.array_equal(last_hubs, hubs)
+        assert np.array_equal(last_authorities, authorities)
+        assert not np.shares_memory(last_hubs, last_authorities)
 
 
 class TestCorrelations:

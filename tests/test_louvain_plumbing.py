@@ -258,8 +258,10 @@ def one_chunk_matrix():
     return fielded_matrix(2000, fields=10, per_column=6, seed=0)
 
 
+@pytest.fixture(scope="module")
 def several_chunk_matrix():
-    """264k kept similarity pairs (five default chunks of edges), 532k level-0 entries."""
+    """264k kept similarity pairs (five default chunks of edges), 532k level-0 entries;
+    built once for the tests that share it, before any of them starts tracing."""
     return fielded_matrix(4000, fields=4, per_column=12, seed=0)
 
 
@@ -281,13 +283,17 @@ def test_louvain_peak_memory_is_a_small_multiple_of_the_entries():
     assert louvain_peak_per_entry(one_chunk_matrix()) < PEAK_BYTES_PER_ENTRY
 
 
-def test_louvain_peak_memory_per_entry_is_lower_on_a_graph_of_several_chunks():
-    peak = louvain_peak_per_entry(several_chunk_matrix())
+def test_louvain_peak_memory_per_entry_is_lower_on_a_graph_of_several_chunks(
+    several_chunk_matrix,
+):
+    peak = louvain_peak_per_entry(several_chunk_matrix)
     assert peak < SEVERAL_CHUNK_PEAK_BYTES_PER_ENTRY
 
 
-def test_decompose_chain_peak_memory_is_a_small_multiple_of_the_kept_pairs():
-    z = several_chunk_matrix()
+def test_decompose_chain_peak_memory_is_a_small_multiple_of_the_kept_pairs(
+    several_chunk_matrix,
+):
+    z = several_chunk_matrix
     tracemalloc.start()
     try:
         graph = threshold_graph(citing_cosine_matrix(z), 0.01)

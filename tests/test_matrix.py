@@ -22,6 +22,8 @@ from pwrkit import (
     matrix_power_oracle,
     matvec,
     nonzero_entries,
+    read_csv_matrix,
+    read_pajek,
     row_sums,
     transpose,
     write_csv_matrix,
@@ -237,6 +239,81 @@ class TestOperations:
         mat = sparse.coo_array(([5.0, 1.0], ([0, 2], [3, 1])), shape=(n, n)).tocsr()
         z = CitationMatrix(labels, mat)
         assert list(nonzero_entries(z)) == [(0, 3, 5.0), (2, 1, 1.0)]
+
+
+# Every route to CSR storage, on one network of DENSE_LIMIT + 64 nodes with
+# repeated and diagonal arcs: each route gives a matrix and the dense array
+# of the entries it must hold.
+WIDE_N = DENSE_LIMIT + 64
+WIDE_LABELS = tuple(f"J{i}" for i in range(WIDE_N))
+
+
+def wide_arcs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(7)
+    rows, cols = rng.integers(0, WIDE_N, (2, 4000))
+    rows[:50] = cols[:50]
+    return rows, cols, rng.integers(1, 9, 4000).astype(np.float64)
+
+
+def wide_coo():
+    rows, cols, weights = wide_arcs()
+    return sparse.coo_array((weights, (rows, cols)), shape=(WIDE_N, WIDE_N))
+
+
+def wide_dense() -> np.ndarray:
+    return wide_coo().toarray()  # integer weights: the same sums in any order
+
+
+def wide_matrix() -> CitationMatrix:
+    return matrix.from_arcs(WIDE_LABELS, *wide_arcs())
+
+
+def int64_csr(dense: np.ndarray):
+    m = sparse.csr_array(dense)
+    m.indices, m.indptr = m.indices.astype(np.int64), m.indptr.astype(np.int64)
+    return m
+
+
+SUBSET = list(range(WIDE_N - 1, 40, -1))
+CSR_ROUTES = {
+    "read_pajek": lambda: (read_pajek(write_pajek(wide_matrix())), wide_dense()),
+    "read_csv_matrix": lambda: (read_csv_matrix(write_csv_matrix(wide_matrix())), wide_dense()),
+    "from_arcs": lambda: (wide_matrix(), wide_dense()),
+    "transpose": lambda: (transpose(wide_matrix()), wide_dense().T),
+    "zero_diagonal": lambda: (
+        zero_diagonal(wide_matrix()),
+        wide_dense() * (1.0 - np.eye(WIDE_N)),
+    ),
+    "extract_subgraph": lambda: (
+        extract_subgraph(wide_matrix(), SUBSET),
+        wide_dense()[np.ix_(SUBSET, SUBSET)],
+    ),
+    "int64_csr_input": lambda: (CitationMatrix(WIDE_LABELS, int64_csr(wide_dense())), wide_dense()),
+    "coo_input": lambda: (CitationMatrix(WIDE_LABELS, wide_coo()), wide_dense()),
+}
+
+
+@pytest.mark.parametrize("route", CSR_ROUTES)
+def test_csr_storage_holds_int32_index_arrays(route):
+    z, dense = CSR_ROUTES[route]()
+    assert z.is_sparse
+    stored = (z.entries.indptr, z.entries.indices, z.entries.data)
+    assert [part.dtype for part in stored] == [np.int32, np.int32, np.float64]
+    assert not any(part.flags.writeable for part in stored)
+    # the same entries as CSR with int64 index arrays, value for value
+    expected = int64_csr(dense)
+    assert expected.indices.dtype == np.int64
+    for got, want in zip(stored, (expected.indptr, expected.indices, expected.data)):
+        assert np.array_equal(got, want)
+
+
+def test_csr_index_width_is_int32_while_nodes_and_entries_fit_it():
+    # the int64 side is checked on the rule alone: such a matrix needs 16 GB
+    top = np.iinfo(np.int32).max
+    assert matrix._index_dtype(DENSE_LIMIT + 1, 0) is np.int32
+    assert matrix._index_dtype(top, top) is np.int32
+    assert matrix._index_dtype(top + 1, 0) is np.int64
+    assert matrix._index_dtype(DENSE_LIMIT + 1, top + 1) is np.int64
 
 
 class TestMatrixPowerOracle:
