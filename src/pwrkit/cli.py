@@ -154,16 +154,14 @@ def _write_file(path_str: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, output: str | None, summary: str | None = None) -> None:
+def _emit(text: str, output: str | None, summary: str) -> None:
     """Main payload to --output or stdout; summaries never corrupt the payload."""
     if output:
         _write_file(output, text)
-        if summary:
-            print(summary)
+        print(summary)
     else:
         sys.stdout.write(text)
-        if summary:
-            print(summary, file=sys.stderr)
+        print(summary, file=sys.stderr)
 
 
 def _options_from(args: argparse.Namespace) -> PwrOptions:

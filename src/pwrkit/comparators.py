@@ -15,8 +15,8 @@ from typing import TypeAlias
 
 import numpy as np
 
-from .engine import ContractError, PwrOptions, ZeroDivision, bounded_list, pwr_trace
-from .matrix import CitationMatrix, _sparse, column_sums, grand_total
+from .engine import ContractError, PwrOptions, ZeroDivision, pwr_trace
+from .matrix import CitationMatrix, _label_index, _sparse, bounded_list, column_sums, grand_total
 
 _DEFAULT_MAX_ITER = 1000
 
@@ -45,10 +45,7 @@ class MetricVector:
         return len(self.labels)
 
     def value_of(self, label: str) -> float:
-        try:
-            return float(self.values[self.labels.index(label)])
-        except ValueError:
-            raise KeyError(f"unknown label: {label!r}") from None
+        return float(self.values[_label_index(self.labels, label)])
 
 
 @dataclass(frozen=True)
@@ -288,8 +285,7 @@ def compare_rankings(metrics: Sequence[MetricVector]) -> list[list[RankingCompar
     aligned = [metrics[0]] + [align_to(metrics[0], m) for m in metrics[1:]]
     pairs = {}
     if len(aligned) > 1:
-        if aligned[0].n < 2:
-            raise ContractError("correlation needs at least two nodes")
+        _aligned_values(aligned[0], aligned[1])  # refuses fewer than two nodes
         values = [_centred(m.values) for m in aligned]
         ranks = [_centred(rankdata(m.values)) for m in aligned]
         pairs = {

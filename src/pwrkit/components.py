@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ContractError, bounded_list
-from .matrix import CitationMatrix, NodeSet, extract_subgraph
+from .engine import ContractError
+from .matrix import CitationMatrix, NodeSet, bounded_list, extract_subgraph
 
 
 @dataclass(frozen=True)

@@ -640,14 +640,14 @@ def louvain_partition(
 ) -> Partition:
     """Deterministic two-phase modularity clustering.
 
-    Local moving visits nodes in ascending weighted-degree order (node index
-    breaks degree ties); a node joins the neighbouring community with the
-    largest insertion gain, where exact gain ties, including ties with its
-    current community, go to the lowest community id.  Converged levels are
-    aggregated into super-nodes and the process repeats until no move is
-    left.  Final community ids are renumbered by their smallest original
-    node.  An explicit ``sweep_order`` permutation overrides the visit order
-    for the first level only.
+    Local moving visits nodes of nonzero weighted degree in ascending degree
+    order (node index breaks degree ties); a node joins the neighbouring
+    community with the largest insertion gain, where exact gain ties,
+    including ties with its current community, go to the lowest community
+    id.  Converged levels are aggregated into super-nodes and the process
+    repeats until no move is left.  Final community ids are renumbered by
+    their smallest original node.  An explicit ``sweep_order`` permutation
+    overrides the visit order for the first level only.
 
     An edgeless graph has nothing to cluster and yields singletons with
     q = 0.0.
@@ -670,7 +670,9 @@ def louvain_partition(
     while True:
         degree = _degrees(indptr, data)
         if sweep is None:
-            sweep = sorted(range(len(degree)), key=degree.__getitem__)
+            # a node of degree 0 has one candidate, its own community, and its
+            # visit would add and take 0.0 from a sigma that is never -0.0
+            sweep = sorted(filter(degree.__getitem__, range(len(degree))), key=degree.__getitem__)
         community, moved_any = _local_moving(
             indptr, indices, data, degree, sweep, resolution, m
         )

@@ -13,17 +13,18 @@ scaled by the grand total of Z^k, which cancels in the quotient.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import os
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .matrix import CitationMatrix, column_sums, matvec, row_sums, transpose, zero_diagonal
+from .matrix import (
+    CitationMatrix, _label_index, bounded_list, column_sums, matvec, row_sums, transpose,
+    zero_diagonal,
+)
 
 log = logging.getLogger(__name__)
 
@@ -106,12 +107,8 @@ class TraceTable:
 
     def series(self, label: str, column: str = "ratio") -> list[float]:
         """One label's power, weakness or ratio for k = 1..k_max."""
-        try:
-            idx = self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label: {label!r}") from None
         table = {"power": self.powers, "weakness": self.weaknesses, "ratio": self.ratios}
-        return table[column][:, idx].tolist()
+        return table[column][:, _label_index(self.labels, label)].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +198,6 @@ def _trace_vectors(
         else:
             scales.append(0.0 if normalize else 1.0)
     return vectors, tuple(scales), problem
-
-
-def bounded_list(items: Iterable, count: int, show: Callable[[list], str] = str) -> str:
-    """``show`` of the first ten of ``count`` items, then ``(and N more)``:
-    a message naming items stays bounded, however many there are."""
-    first = list(itertools.islice(items, 10))
-    return f"{show(first)} (and {count - len(first)} more)" if count > len(first) else show(first)
 
 
 def _warn_one_sided(z: CitationMatrix) -> None:

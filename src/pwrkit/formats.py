@@ -25,15 +25,15 @@ import logging
 import math
 import re
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .comparators import MetricVector, RankingComparison
 from .decomposition import Partition
-from .engine import TraceTable, bounded_list
-from .matrix import _CHUNK, CitationMatrix, from_arcs, nonzero_arrays
+from .engine import TraceTable
+from .matrix import _CHUNK, CitationMatrix, _check_labels, bounded_list, from_arcs, nonzero_arrays
 
 log = logging.getLogger(__name__)
 
@@ -111,8 +111,7 @@ def read_pajek(text: str) -> CitationMatrix:
     first = _SECTION.search(text)
     second = first and _NEXT_SECTION.search(text, first.end())
     stop = (text.find("\n", second.end()) + 1 or len(text)) if second else len(text)
-    lines = text[:stop].splitlines()
-    labels, section = _read_head(lines)
+    labels, section = _read_head(text[:stop].splitlines())
     if section is None:
         log.warning("network file has no *Arcs section; matrix is all zeros")
         src, dst, weight = _NO_ARCS
@@ -120,16 +119,18 @@ def read_pajek(text: str) -> CitationMatrix:
         line_no, content = section
         if content.split()[0].lower() != "*arcs":
             raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
-        # with CR LF gone every line break is one character, so the arcs start
-        # just after the section line's break
-        start = sum(map(len, itertools.islice(lines, line_no))) + line_no
-        del lines  # the head's lines are not needed while the arcs are read
-        src, dst, weight = _read_arcs(text, start, line_no + 1, len(labels))
+        # the head ends with the section line, so the arcs start where it stops
+        src, dst, weight = _read_arcs(text, stop, line_no + 1, len(labels))
         # the arrays are the reader's own: 0-based ids without two more copies
         src -= 1
         dst -= 1
+    return _stored(labels, src, dst, weight)
+
+
+def _stored(labels: Sequence[str], *arcs: np.ndarray) -> CitationMatrix:
+    """:func:`from_arcs` of a file's labels and arcs; what it refuses is a :class:`ParseError`."""
     try:
-        return from_arcs(labels, src, dst, weight)
+        return from_arcs(labels, *arcs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -342,10 +343,7 @@ def read_csv_matrix(text: str) -> CitationMatrix:
             f"row labels must match header labels in order; "
             f"position {mismatch}: {cited[mismatch]!r} vs {citing[mismatch]!r}"
         )
-    try:
-        return from_arcs(citing, *map(np.array, (src, dst, weight)))  # int64, int64, float64
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _stored(citing, *map(np.array, (src, dst, weight)))  # int64, int64, float64
 
 
 def write_csv_matrix(z: CitationMatrix) -> str:
@@ -458,6 +456,9 @@ def read_metric_csv(text: str, name: str = "external") -> MetricVector:
 
 
 def write_metric_csv(metric: MetricVector) -> str:
+    """Inverse of :func:`read_metric_csv`; an empty or repeated label raises
+    ``ValueError``, since it would not read back."""
+    _check_labels(metric.labels)
     return _labelled_table(METRIC_HEADER, metric.labels, [map(repr, metric.values.tolist())])
 
 

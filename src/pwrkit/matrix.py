@@ -34,8 +34,9 @@ summation order).
 
 from __future__ import annotations
 
+import itertools
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, TypeAlias
 
@@ -100,6 +101,21 @@ def _canonical_entries(values: object, n: int) -> Entries:
     return mat
 
 
+def bounded_list(items: Iterable, count: int, show: Callable[[list], str] = str) -> str:
+    """``show`` of the first ten of ``count`` items, then ``(and N more)``:
+    a message naming items stays bounded, however many there are."""
+    first = list(itertools.islice(items, 10))
+    return f"{show(first)} (and {count - len(first)} more)" if count > len(first) else show(first)
+
+
+def _label_index(labels: tuple[str, ...], label: str) -> int:
+    """The position of ``label`` in ``labels``; ``KeyError`` when it is not there."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError(f"unknown label: {label!r}") from None
+
+
 def _check_labels(labels: Sequence[str]) -> tuple[str, ...]:
     out = tuple(labels)
     seen: set[str] = set()
@@ -149,10 +165,7 @@ class CitationMatrix:
         return float(self.entries[i, j])
 
     def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label: {label!r}") from None
+        return _label_index(self.labels, label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CitationMatrix):
@@ -183,15 +196,9 @@ class NodeSet:
     @classmethod
     def from_labels(cls, parent: CitationMatrix, names: Sequence[str]) -> NodeSet:
         position = {name: i for i, name in enumerate(parent.labels)}
-        try:
-            indices = tuple(position[name] for name in names)
-        except KeyError as exc:
-            raise KeyError(f"unknown label: {exc.args[0]!r}") from None
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                raise ValueError(f"duplicate label: {name!r}")
-            seen.add(name)
+        # a name the dict lacks goes to index_of, which raises the unknown-label error
+        indices = tuple(position[x] if x in position else parent.index_of(x) for x in names)
+        _check_labels(names)
         return cls(parent.labels, indices)
 
     @property
@@ -205,8 +212,6 @@ class NodeSet:
         return iter(self.indices)
 
     def __repr__(self) -> str:
-        from .engine import bounded_list  # engine imports this module
-
         labels = bounded_list(map(self.parent_labels.__getitem__, self.indices), len(self))
         return f"NodeSet({len(self)} of {len(self.parent_labels)} nodes: {labels})"
 

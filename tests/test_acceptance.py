@@ -412,3 +412,49 @@ def test_11_planted_fields_converge_faster_than_the_whole_set(capsys, monkeypatc
         " the whole set at k = 106",
         problems,
     )
+
+
+def _tournament(n: int, regular: bool) -> CitationMatrix:
+    """Journal i "beats" journal j (Z[i][j] = 1) when (i - j) mod n is in
+    1..(n-1)/2 (regular, odd n) or when i < j (transitive)."""
+    i, j = np.ogrid[:n, :n]
+    beats = ((i - j) % n >= 1) & ((i - j) % n <= (n - 1) // 2) if regular else i < j
+    return CitationMatrix(tuple(f"J{v}" for v in range(n)), beats.astype(float))
+
+
+def test_12_tournaments_reach_the_limits_that_theory_gives(capsys):
+    # Ramanujacharyulu's (1964) tournament setting: in a regular tournament
+    # every row and column sums to (n-1)/2, so Z^k 1 and (Z^T)^k 1 are equal
+    # vectors of equal entries, ((n-1)/2)^k while that is below 2^53, and a
+    # row's sum of equal entries has the same bits in any order
+    problems = []
+    for n, k_max in ((5, 20), (7, 20), (1025, 5)):
+        z = _tournament(n, regular=True)
+        if not np.array_equal(z.to_dense() + z.to_dense().T, 1.0 - np.eye(n)):
+            problems.append(f"regular n={n}: not a tournament")
+        if z.is_sparse != (n == 1025):
+            problems.append(f"regular n={n}: storage is not the one intended")
+        for normalize in (True, False):
+            trace = pwr_trace(z, PwrOptions(k_max=k_max, normalize_each_iteration=normalize))
+            if not (trace.ratios == 1.0).all():
+                problems.append(f"regular n={n} normalize={normalize}: a ratio is not 1.0")
+    # the 3-cycle is irreducible with period 3 and Z^k 1 = 1 at every k
+    cycle = CitationMatrix(("A", "B", "C"), np.roll(np.eye(3), 1, axis=1))
+    trace = pwr_trace(cycle, PwrOptions())
+    report = convergence_report(trace, trace.options.tol)
+    if not (trace.ratios == 1.0).all() or report.k_converged != 2:
+        problems.append(f"3-cycle: ratios not all 1.0 or k_converged={report.k_converged}")
+    # a transitive tournament is acyclic, so Z is nilpotent: Z^6 = 0 for n = 6
+    trace = pwr_trace(_tournament(6, regular=False), PwrOptions(k_max=8))
+    report = convergence_report(trace, trace.options.tol)
+    if not trace.degenerate or report.converged or report.k_converged is not None:
+        problems.append("transitive n=6: not degenerate, or reported as converged")
+    if not min(report.deltas) <= report.tol:
+        problems.append("transitive n=6: no delta below tol, so the degenerate flag is untested")
+    _verdict(
+        capsys,
+        12,
+        "regular tournaments (n = 5, 7 dense; 1,025 CSR) and the 3-cycle give every ratio"
+        " exactly 1.0; a 6-node transitive tournament is degenerate and never converged",
+        problems,
+    )

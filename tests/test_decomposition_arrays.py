@@ -111,6 +111,48 @@ def test_every_unit_weight_graph_up_to_six_nodes_matches(chunk):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    edge_lists(),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_louvain_skips_isolated_nodes_with_the_bits_of_visiting_them(
+    graph, isolated, seed, resolution
+):
+    # the reference visits every node; here isolated ids fall among the others
+    n, edges = graph
+    places = np.random.default_rng(seed).permutation(n + isolated)[:n].tolist()
+    edges = [(places[i], places[j], w) for i, j, w in edges]
+    g = UndirectedGraph(tuple(f"v{i}" for i in range(n + isolated)), edges)
+    part = louvain_partition(g, resolution=resolution)
+    community_of, q = ref.louvain(n + isolated, edges, resolution)
+    assert part.community_of == community_of
+    assert repr(part.q) == repr(q)
+
+
+def test_louvain_sweeps_nodes_of_nonzero_degree_in_ascending_degree(monkeypatch):
+    sweeps = []
+    real = decomposition._local_moving
+
+    def recording(indptr, indices, data, degree, sweep, *rest):
+        sweeps.append((list(degree), list(sweep)))
+        return real(indptr, indices, data, degree, sweep, *rest)
+
+    monkeypatch.setattr(decomposition, "_local_moving", recording)
+    # degrees 2, 3, 0, 2, 1, 0: nodes 2 and 5 are isolated, 0 and 3 tie
+    edges = [(0, 1, 2.0), (1, 3, 1.0), (3, 4, 1.0)]
+    louvain_partition(UndirectedGraph(tuple("abcdef"), edges))
+    assert sweeps[0][1] == [4, 0, 3, 1]
+    # the isolated nodes stay super-nodes of degree 0 on every later level
+    assert len(sweeps) > 1
+    for degree, sweep in sweeps:
+        nonzero = [v for v in range(len(degree)) if degree[v] != 0.0]
+        assert len(nonzero) < len(degree)
+        assert sweep == sorted(nonzero, key=lambda v: (degree[v], v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=40),
     st.sampled_from(["include", "exclude"]),

@@ -316,6 +316,19 @@ class TestMetricCsv:
         with pytest.raises(ParseError, match="header"):
             read_metric_csv("")
 
+    @pytest.mark.parametrize(
+        ("labels", "refused", "message"),
+        [
+            (("a", "a"), "line 3: duplicate label 'a'", "duplicate label: 'a'"),
+            (("a", ""), "line 3: empty label", "labels must be non-empty strings"),
+        ],
+    )
+    def test_writer_refuses_a_label_the_reader_refuses(self, labels, refused, message):
+        with pytest.raises(ParseError, match=refused):
+            read_metric_csv("label,value\n" + "".join(f"{name},1.0\n" for name in labels))
+        with pytest.raises(ValueError, match=message):
+            write_metric_csv(MetricVector("m", labels, [1.0, 2.0]))
+
 
 @pytest.mark.parametrize(
     ("reader", "text", "message"),
