@@ -241,22 +241,19 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def _metric_columns(z: CitationMatrix, args: argparse.Namespace) -> list[MetricVector]:
+    """The ``--metrics`` columns in order; every name is checked before any is computed."""
     opts = _options_from(args)
-    columns: list[MetricVector] = []
-    for name in args.metrics.split(","):
-        key = name.strip().lower()
-        if key == "pwr":
-            r, _report = converged_pwr(z, opts)
-            columns.append(MetricVector("pwr", z.labels, r))
-        elif key == "cf":
-            columns.append(citation_factor(z, opts.zero_division))
-        elif key == "pagerank":
-            columns.append(pagerank(z, damping=args.damping))
-        elif key == "hits":
-            columns.extend(hits(z))
-        else:
+    metrics = {
+        "pwr": lambda: [MetricVector("pwr", z.labels, converged_pwr(z, opts)[0])],
+        "cf": lambda: [citation_factor(z, opts.zero_division)],
+        "pagerank": lambda: [pagerank(z, damping=args.damping)],
+        "hits": lambda: list(hits(z)),
+    }
+    names = args.metrics.split(",")
+    for name in names:
+        if name.strip().lower() not in metrics:
             raise ValueError(f"unknown metric {name!r}; pick from pwr, cf, pagerank, hits")
-    return columns
+    return [column for name in names for column in metrics[name.strip().lower()]()]
 
 
 def cmd_compare(args: argparse.Namespace) -> None:

@@ -135,7 +135,7 @@ def hits(
     (columns).  Returns (hubs, authorities).
     """
     if z.n < 1:
-        raise ContractError("matrix must have at least one node")
+        raise ValueError("matrix must have at least one node")
     if grand_total(z) == 0.0:
         raise ContractError("matrix has no citations; hub and authority scores are undefined")
     n = z.n

@@ -96,34 +96,32 @@ def read_pajek(text: str) -> CitationMatrix:
     Lines may end in any break that ``str.splitlines`` knows.  The head, up
     to the line that opens the section after the vertex lines, is read one
     line at a time, whatever it holds.  The arc lines after its ``*Arcs``
-    line are read in bulk, a slice at a time, while each line holds three
-    ASCII digit runs of at most 15 digits, separated by spaces or tabs, with
-    both endpoints in 1..n; from the first slice that is not plain, the rest
-    is read one line at a time.  Only the line-by-line reads raise errors, so
-    each names the line it is on; on input both arc routes take, they return
-    the same arrays.
+    line are read a slice at a time, each slice by its own route: in bulk
+    when each of its lines holds three ASCII digit runs of at most 15 digits,
+    separated by spaces or tabs, with both endpoints in 1..n, else one line
+    at a time.  Only the line-by-line reads raise errors, so each names the
+    line it is on; on input both arc routes take, they return the same arrays.
     """
     text = text.lstrip("\ufeff")
     for brk in _BREAKS:
         if brk[0] in text:  # one scan; the CR LF search runs only past a CR
             text = text.replace(brk, "\n")
-    # the head ends with the LF line that opens the second section
+    # the head ends at the LF before the line that opens the second section
     first = _SECTION.search(text)
     second = first and _NEXT_SECTION.search(text, first.end())
-    stop = (text.find("\n", second.end()) + 1 or len(text)) if second else len(text)
-    labels, section = _read_head(text[:stop].splitlines())
-    if section is None:
+    labels = _read_head((text[: second.start()] if second else text).splitlines())
+    if not second:
         log.warning("network file has no *Arcs section; matrix is all zeros")
-        src, dst, weight = _NO_ARCS
-    else:
-        line_no, content = section
-        if content.split()[0].lower() != "*arcs":
-            raise ParseError(f"unsupported section {content.split()[0]!r}", line_no)
-        # the head ends with the section line, so the arcs start where it stops
-        src, dst, weight = _read_arcs(text, stop, line_no + 1, len(labels))
-        # the arrays are the reader's own: 0-based ids without two more copies
-        src -= 1
-        dst -= 1
+        return _stored(labels, *_NO_ARCS)
+    # the section line runs from the matched "*" to its LF; the arcs start after it
+    start = text.find("\n", second.end()) + 1 or len(text)
+    keyword = text[second.end() - 1 : start].split()[0]
+    if keyword.lower() != "*arcs":
+        raise ParseError(f"unsupported section {keyword!r}", text.count("\n", 0, second.end()) + 1)
+    src, dst, weight = _read_arcs(text, start, len(labels))
+    # the arrays are the reader's own: 0-based ids without two more copies
+    src -= 1
+    dst -= 1
     return _stored(labels, src, dst, weight)
 
 
@@ -135,9 +133,9 @@ def _stored(labels: Sequence[str], *arcs: np.ndarray) -> CitationMatrix:
         raise ParseError(str(exc)) from exc
 
 
-def _read_head(lines: list[str]) -> tuple[tuple[str, ...], tuple[int, str] | None]:
-    """The labels, and the section line after the vertex lines as (line
-    number, stripped text) or None when ``lines`` end first."""
+def _read_head(lines: list[str]) -> tuple[str, ...]:
+    """The labels of the head's lines: a ``*Vertices n`` line, then vertex
+    lines, comments and blank lines, up to the next section line."""
     numbered = enumerate(lines, 1)
     for line_no, line in numbered:
         content = line.strip()
@@ -155,14 +153,10 @@ def _read_head(lines: list[str]) -> tuple[tuple[str, ...], tuple[int, str] | Non
     if n < 0:
         raise ParseError(f"vertex count must be >= 0, got {n}", line_no)
     names: dict[int, str] = {}
-    section = None
     for line_no, line in numbered:
         content = line.strip()
         if not content or content[0] == "%":
             continue
-        if content[0] == "*":
-            section = line_no, content
-            break
         match = _QUOTED_VERTEX.match(content) or _BARE_VERTEX.match(content)
         if match is None:
             raise ParseError(f"malformed vertex line: {content!r}", line_no)
@@ -177,28 +171,26 @@ def _read_head(lines: list[str]) -> tuple[tuple[str, ...], tuple[int, str] | Non
     if len(names) < n:
         missing = bounded_list((vid for vid in range(1, n + 1) if vid not in names), n - len(names))
         raise ParseError(f"vertex ids without a definition: {missing}")
-    return tuple(map(names.__getitem__, range(1, n + 1))), section
+    return tuple(map(names.__getitem__, range(1, n + 1)))
 
 
-def _read_arcs(
-    text: str, start: int, first: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arc lines of ``text[start:]``, the first of them line number
-    ``first``, as new 1-based (src, dst) and weight arrays.
+def _read_arcs(text: str, start: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arc lines of ``text[start:]`` as new 1-based (src, dst) and weight arrays.
 
     Slices of ``8 * _CHUNK`` characters (about ``_CHUNK`` lines), each cut
-    just after a LF, are read in bulk while they are plain.  From the first
-    slice that is not, the rest is read one line at a time; a plain slice
-    holds no line break but LF, so counting its LFs numbers the lines after it.
+    just after a LF, are read one at a time: in bulk when plain, else line
+    by line.  Every break is a LF, so a slice read line by line starts at
+    the line one past the LFs before it, which are counted only then.
     """
-    parts, at = [], start
+    parts, line_no, counted = [], 1, 0
     while start < len(text):
         stop = text.find("\n", start + 8 * _CHUNK) + 1 or len(text)
-        parts.append(_plain_arcs(text[start:stop], n))
-        if parts[-1] is None:
-            first += text.count("\n", at, start)
-            parts[-1] = _arc_lines(text[start:].splitlines(), first, n)
-            break
+        arcs = _plain_arcs(text[start:stop], n)
+        if arcs is None:
+            line_no += text.count("\n", counted, start)
+            counted = start
+            arcs = _arc_lines(text[start:stop].splitlines(), line_no, n)
+        parts.append(arcs)
         start = stop
     # the empty arrays keep the dtypes when the section has no arc lines
     src, dst, weight = (np.concatenate(column) for column in zip(*parts, _NO_ARCS))
@@ -405,7 +397,7 @@ def read_trace_csv(text: str) -> TraceTable:
     rows = _csv_rows(text)
     if not rows or tuple(rows[0][1]) != TRACE_HEADER:
         raise ParseError(f"expected header {','.join(TRACE_HEADER)!r}", line=1)
-    ks_of: dict[str, list[int]] = {}
+    ks_of: dict[str, set[int]] = {}
     steps: list[int] = []
     cells: list[tuple[float, float, float]] = []
     for r, row in rows[1:]:
@@ -416,7 +408,10 @@ def read_trace_csv(text: str) -> TraceTable:
             cells.append((float(row[2]), float(row[3]), float(row[4])))
         except ValueError:
             raise ParseError(f"malformed trace row: {row!r}", line=r) from None
-        ks_of.setdefault(row[0], []).append(k)
+        ks = ks_of.setdefault(row[0], set())
+        if k in ks:
+            raise ParseError(f"repeated row for label {row[0]!r} at k={k}", line=r)
+        ks.add(k)
         steps.append(k - 1)
     k_sets = {tuple(sorted(ks)) for ks in ks_of.values()}
     if len(k_sets) != 1:

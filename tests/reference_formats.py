@@ -3,8 +3,8 @@
 ``read_pajek`` is the line-by-line Pajek reader.  It reads one line at a
 time: strip, skip blanks and ``%`` comments, split, convert with ``int`` and
 ``float``, check the range and the weight, and append to three Python lists.
-The library reads every head line by line too, then its arc lines in bulk, a
-slice at a time, and line by line from the first slice that is not plain;
+The library reads every head line by line too, then its arc lines a slice
+at a time, in bulk when the slice is plain and else line by line;
 the differential tests require it to return the same matrix or raise the same
 message as this reader on every input.
 

@@ -458,3 +458,74 @@ def test_12_tournaments_reach_the_limits_that_theory_gives(capsys):
         " exactly 1.0; a 6-node transitive tournament is degenerate and never converged",
         problems,
     )
+
+
+def _perron(m: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The Perron root of ``m``, |lambda_2 / lambda_1| (0 for one node) and the
+    unit-sum Perron vector, from ``numpy.linalg.eig``."""
+    values, vectors = np.linalg.eig(m)
+    order = np.argsort(-np.abs(values))
+    gap = abs(values[order[1]]) / abs(values[order[0]]) if len(values) > 1 else 0.0
+    vector = np.abs(vectors[:, order[0]].real)
+    return float(values[order[0]].real), float(gap), vector / vector.sum()
+
+
+def test_12_primitive_ratios_reach_the_quotient_of_the_perron_vectors(capsys):
+    # Z^k 1 and (Z^T)^k 1 turn to the right and left Perron vectors u and v
+    # with an error of order |lambda_2 / lambda_1|^k, so at the k that takes
+    # that below 1e-13 (two steps more) every ratio is u / v of the unit-sum
+    # vectors; 1e-12 leaves room for the vectors' constants and rounding
+    rng = np.random.default_rng(12)
+    problems = []
+    for case in range(200):
+        n = int(rng.integers(2, 9))
+        m = rng.integers(1, 10, size=(n, n)).astype(float)
+        _, gap, u = _perron(m)
+        _, _, v = _perron(m.T)
+        k = int(np.ceil(np.log(1e-13) / np.log(gap))) + 2 if gap > 0.0 else 2
+        z = CitationMatrix(tuple(f"J{i}" for i in range(n)), m)
+        error = np.abs(pwr_trace(z, PwrOptions(k_max=k)).ratio_at(k) / (u / v) - 1.0).max()
+        if not error < 1e-12:
+            problems.append(f"case {case} (n={n}, k={k}): relative error {error:.3g}")
+    _verdict(
+        capsys,
+        12,
+        "200 all-positive integer matrices (n = 2..8) give ratios within 1e-12 of"
+        " u / v, the quotient of their Perron vectors, once |lambda_2 / lambda_1|^k < 1e-13",
+        problems,
+    )
+
+
+def test_12_reducible_block_triangular_powers_leave_the_weaker_block(capsys):
+    # Z = [[A, B], [0, C]] with rho(A) > rho(C) and B > 0: block C's entries
+    # of Z^k 1 are C^k 1 <= rho(C)^k u_C / min(u_C), and block A's sum is at
+    # least that of A^k 1 >= rho(A)^k u_A / max(u_A), so C's share of the
+    # power falls under a constant times (rho(C) / rho(A))^k
+    rng = np.random.default_rng(1964)
+    problems = []
+    k_max = 40
+    for case in range(50):
+        p, q = (int(size) for size in rng.integers(1, 5, size=2))
+        a = rng.integers(1, 10, size=(p, p)).astype(float)
+        c = rng.integers(1, 10, size=(q, q)).astype(float)
+        if _perron(a)[0] < _perron(c)[0]:
+            a, c, p, q = c, a, q, p
+        (rho_a, _, u_a), (rho_c, _, u_c) = _perron(a), _perron(c)
+        if rho_a == rho_c:
+            continue
+        z = np.block([[a, rng.integers(1, 10, size=(p, q))], [np.zeros((q, p)), c]])
+        labels = tuple(f"J{i}" for i in range(p + q))
+        trace = pwr_trace(CitationMatrix(labels, z), PwrOptions(k_max=k_max))
+        share = trace.powers[:, p:].sum(axis=1) / trace.powers.sum(axis=1)
+        constant = (u_c.sum() / u_c.min()) / (u_a.sum() / u_a.max())
+        bound = constant * (rho_c / rho_a) ** np.arange(1, k_max + 1)
+        if not (share <= bound).all():
+            k = int(np.argmax(share > bound)) + 1
+            problems.append(f"case {case} (p={p}, q={q}): share {share[k - 1]:.3g} at k={k}")
+    _verdict(
+        capsys,
+        12,
+        "50 reducible [[A, B], [0, C]] matrices with rho(A) > rho(C) and B > 0: block C's"
+        " share of the power stays under a constant times (rho(C) / rho(A))^k",
+        problems,
+    )

@@ -653,11 +653,27 @@ class TestCompareCommand:
         r = float(pair.split(",")[2])
         assert -0.27 <= r <= -0.25
 
-    def test_unknown_metric_exits_1(self, capsys):
-        code = main(["compare", "--input", FIXTURE, "--metrics", "pwr,bogus"])
-        _out, err = capsys.readouterr()
-        assert code == 1
-        assert "unknown metric" in err
+    def test_unknown_metric_exits_1(self, capsys, monkeypatch):
+        # every name is checked before any metric is computed
+        def refuse(*args, **kwargs):
+            raise AssertionError("a metric was computed before every name was checked")
+
+        for name in ("converged_pwr", "hits"):
+            monkeypatch.setattr(f"pwrkit.cli.{name}", refuse)
+        code = main(["compare", "--input", FIXTURE, "--metrics", "pwr,hits,bogus"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: unknown metric 'bogus'; pick from pwr, cf, pagerank, hits\n"
+
+    @pytest.mark.parametrize("metrics", ["hits", "pagerank"])
+    def test_matrix_without_nodes_exits_1(self, metrics, capsys, tmp_path):
+        # hits and pagerank refuse a matrix with no nodes as bad input, like pwr
+        net = tmp_path / "empty.net"
+        net.write_text("*Vertices 0\n*Arcs\n", encoding="utf-8")
+        code = main(["compare", "--input", str(net), "--metrics", metrics])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: matrix must have at least one node\n"
 
     def test_malformed_external_argument_exits_1(self, capsys):
         code = main(["compare", "--input", FIXTURE, "--external", "no-equals-sign"])

@@ -536,7 +536,6 @@ def test_correlations_do_not_see_a_power_of_two_scale(case):
 def test_undefined_results_raise_contract_error():
     a, b = metric("a", "A B", [1.0, 2.0]), metric("b", "A B", [3.0, 3.0])
     cases = [
-        (lambda: hits(CitationMatrix((), np.zeros((0, 0)))), "at least one node"),
         (lambda: hits(build("A B", [[0, 0], [0, 0]])), "no citations"),
         (lambda: pearson(metric("a", "A", [1.0]), metric("b", "A", [2.0])), "two nodes"),
         (lambda: spearman(a, b), "zero-variance"),
@@ -553,6 +552,7 @@ def test_undefined_results_raise_contract_error():
     for call, message in [
         (lambda: pagerank(build("A B", [[0, 1], [1, 0]]), damping=2.0), "damping"),
         (lambda: pagerank(CitationMatrix((), np.zeros((0, 0)))), "at least one node"),
+        (lambda: hits(CitationMatrix((), np.zeros((0, 0)))), "at least one node"),
         (lambda: pearson(a, metric("c", "A C", [1.0, 2.0])), "labels differ"),
         (lambda: pearson(a, metric("c", "B A", [1.0, 2.0])), "order their labels differently"),
     ]:

@@ -238,12 +238,20 @@ class TestTraceTable:
             read_trace_csv(TRACE_TEXT_HEADER + "A,2,1.0,1.0,1.0\n")
 
     def test_duplicate_rows_rejected(self):
-        text = TRACE_TEXT_HEADER + "A,1,1.0,1.0,1.0\nA,1,2.0,2.0,2.0\n"
-        with pytest.raises(ParseError, match="contiguous from k=1"):
+        # the first repeated (label, k) row is named, ahead of the coverage
+        # and contiguity checks that a repeat would otherwise trip
+        repeated = r"^line 3: repeated row for label 'A' at k=1$"
+        for tail in ("", "B,1,1.0,1.0,1.0\n", "A,2,1.0,1.0,1.0\nB,1,1.0,1.0,1.0\n"):
+            text = TRACE_TEXT_HEADER + "A,1,1.0,1.0,1.0\nA,1,2.0,2.0,2.0\n" + tail
+            with pytest.raises(ParseError, match=repeated):
+                read_trace_csv(text)
+        text = TRACE_TEXT_HEADER + "a,1,0,0,0\na,2,0,0,0\nb,1,0,0,0\nb,1,0,0,0\n"
+        with pytest.raises(ParseError, match=r"^line 5: repeated row for label 'b' at k=1$"):
             read_trace_csv(text)
-        text = TRACE_TEXT_HEADER + "A,1,1.0,1.0,1.0\nA,1,2.0,2.0,2.0\nB,1,1.0,1.0,1.0\n"
-        with pytest.raises(ParseError, match="same iterations"):
-            read_trace_csv(text)
+        # the writer writes a trace whose labels repeat; it reads back as such
+        trace = TraceTable(("a", "a"), *(np.ones((2, 2)) for _ in range(3)))
+        with pytest.raises(ParseError, match=r"^line 4: repeated row for label 'a' at k=1$"):
+            read_trace_csv(write_trace_csv(trace))
 
     def test_header_only_rejected(self):
         with pytest.raises(ParseError, match="same iterations"):

@@ -1,14 +1,15 @@
 """The Pajek reader's two routes and the row-streamed writers against references.
 
 ``read_pajek`` reads the head of every file line by line, then its arc
-section in bulk, a slice at a time, and line by line from the first slice
-that is not plain.  A differential property holds it to the line-by-line
+section a slice at a time: in bulk when the slice is plain, else line by
+line.  A differential property holds it to the line-by-line
 reader in ``reference_formats``: on mutated vertex and arc sections both
 return the same matrix, bit for bit, or raise the same message.  It runs at
 the default chunk size and at one so small that every section spans several
 slices and a bad line may sit in a slice after ones that were read in bulk.
 At the default size, a section whose plain lines are followed by ones that
-only the per-line route reads must match too, with that route entered once.
+only the per-line route reads must match too, with that route reading just
+the slices that hold such lines.
 A benchmark-shaped file, its CR LF copy and a copy with a comment, a blank
 line and a bare label in its head must take the bulk arc route.  A head
 ends at its ``*Arcs`` line also when a vertical tab breaks the line before
@@ -289,15 +290,28 @@ def mixed_chunks_text(bad_endpoint: bool = False) -> str:
 
 
 def test_chunks_of_both_kinds_match_reference_at_default_size():
-    text = mixed_chunks_text()
+    # a plain stretch longer than a slice before the tail comment
+    plain = "1 2 3\n" * (2 * formats._CHUNK)
+    text = mixed_chunks_text().replace("\n  % tail\n", "\n" + plain + "  % tail\n")
     expected = ref.read_pajek(text)
     with mock.patch.object(formats, "_arc_lines", wraps=formats._arc_lines) as per_line:
         z = read_pajek(text)
-    # the per-line route is entered once, at the slice holding the first
-    # decimal weight; the plain lines before that slice are read in bulk
-    [call] = per_line.call_args_list
-    first_decimal = DENSE_LIMIT + 3 + formats._CHUNK + 1
-    assert first_decimal - formats._CHUNK < call.args[1] <= first_decimal
+    # the per-line route reads exactly the slices that hold a decimal weight
+    # or a comment, one slice a call, each from its own first line number;
+    # the plain slices before and between them are read in bulk
+    lines = text.splitlines()
+    odd = {i for i, line in enumerate(lines, 1) if "." in line or "%" in line}
+    read = set()
+    for call in per_line.call_args_list:
+        part, first = call.args[:2]
+        assert part == lines[first - 1 : first - 1 + len(part)]
+        assert odd & set(range(first, first + len(part)))
+        # a slice ends at the first LF past 8 * _CHUNK characters
+        assert len("\n".join(part)) < 8 * formats._CHUNK + 20
+        read.update(range(first, first + len(part)))
+    assert odd <= read
+    tail = max(odd)
+    assert min(read) > DENSE_LIMIT + 4 and not read >= set(range(max(odd - {tail}), tail))
     assert z.is_sparse and z.labels == expected.labels
     for part in ("indptr", "indices", "data"):
         assert getattr(z.entries, part).tobytes() == getattr(expected.entries, part).tobytes()
@@ -316,7 +330,8 @@ def test_endpoint_past_n_in_plain_chunk_after_per_line_chunk():
 def test_reader_keeps_no_whole_file_token_list():
     plain = fields_text(30_000, seed=0)
     assert plain.count("\n") - 30_002 > 2 * formats._CHUNK
-    for text in (plain, commented_head_text()):
+    commented_arcs = plain.replace("\n*Arcs\n", "\n*Arcs\n% note\n", 1)
+    for text in (plain, commented_head_text(), commented_arcs):
         tracemalloc.start()
         try:
             z = read_pajek(text)
@@ -326,8 +341,9 @@ def test_reader_keeps_no_whole_file_token_list():
         assert z.is_sparse
         # one slice of tokens, the arc arrays and the matrix need about 5.5x;
         # a list of the file's lines took it to 11x (9.7x for the commented
-        # copy, read line by line whole), the line-by-line reader needed 15.5x
-        # and a token list of the whole file needs 20x
+        # head's copy read line by line whole, 8.35x for the commented arcs
+        # read line by line from their first slice on), the line-by-line
+        # reader needed 15.5x and a token list of the whole file needs 20x
         assert peak < 8 * len(text)
 
 

@@ -6,7 +6,8 @@ one cycle at the generator's smallest size (n = 200) through the harness's
 own ``Workload`` and ``Runner``, and every call must pass its output check.
 A second run goes through ``main()`` and reads the JSON result line it
 prints last, which must carry every end-to-end metric ``BENCHMARK.json``
-declares, in that file's unit.
+declares, in that file's unit.  Every function the tracer wraps must still
+exist in the package, or its per-layer count would read 0 unnoticed.
 """
 
 from __future__ import annotations
@@ -78,3 +79,16 @@ def test_result_line_carries_every_end_to_end_metric(name, monkeypatch, tmp_path
         entry = result["metrics"][metric["name"]]
         assert entry["unit"] == metric["unit"]
         assert isinstance(entry["value"], float) and entry["value"] > 0.0
+
+
+def test_every_traced_name_is_a_pwrkit_callable(monkeypatch):
+    # Tracer.install skips a name the package no longer has, so a rename
+    # would read 0 calls in the benchmark without this check
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(mod, name) for mod, names in tracing.TRACED.items() for name in names]
+    for mod, name in [*names, ("matrix", "matvec")]:
+        module = importlib.import_module(f"pwrkit.{mod}")
+        assert callable(getattr(module, name, None)), f"pwrkit.{mod}.{name}"
