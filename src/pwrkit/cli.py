@@ -149,8 +149,8 @@ def _matrix_text(z: CitationMatrix, kind: str) -> str:
 def _write_file(path_str: str, text: str) -> None:
     path = Path(path_str)
     try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
+        path.write_bytes(text.encode("utf-8"))
+    except (OSError, UnicodeEncodeError) as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
@@ -271,9 +271,9 @@ def cmd_compare(args: argparse.Namespace) -> None:
     for path, metric in external:
         columns.append(_parsed(path, align_to, columns[0], metric))
     payload = write_compare_table(compare_rankings(columns))
-    sys.stdout.write(payload)
     if args.output:
         _write_file(args.output, payload)
+    sys.stdout.write(payload)
 
 
 def cmd_convert(args: argparse.Namespace) -> None:

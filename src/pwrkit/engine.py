@@ -22,8 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .matrix import (
-    CitationMatrix, _label_index, bounded_list, column_sums, matvec, row_sums, transpose,
-    zero_diagonal,
+    CitationMatrix, Entries, _label_index, bounded_list, column_sums, row_sums, zero_diagonal,
 )
 
 log = logging.getLogger(__name__)
@@ -169,23 +168,23 @@ def _check_trace_fits(k_max: int, n: int) -> None:
 
 
 def _trace_vectors(
-    z: CitationMatrix, k_max: int, normalize: bool
+    a: Entries, k_max: int, normalize: bool
 ) -> tuple[np.ndarray, tuple[float, ...], str | None]:
-    """Iterates Z^k 1 for k = 1..k_max, each written into its row of one array.
+    """Iterates A^k 1 for k = 1..k_max on stored entries A, each into its row of one array.
 
     The third value says why the trace is degenerate (a zero iterate, or the
     first k whose iterate sum is not finite), or is None.
     """
-    vectors = np.empty((k_max, z.n), dtype=np.float64)
+    v = np.ones(a.shape[0], dtype=np.float64)
+    vectors = np.empty((k_max, v.size), dtype=np.float64)
     # np.empty only reserves address space: a request the host refuses
     # outright has raised MemoryError already, and one it grants is checked
     # before any page of it is written.
-    _check_trace_fits(k_max, z.n)
+    _check_trace_fits(k_max, v.size)
     scales: list[float] = []
     problem: str | None = None
-    v = np.ones(z.n, dtype=np.float64)
     for k, row in enumerate(vectors, start=1):
-        row[:] = matvec(z, v)
+        row[:] = a @ v
         v = row
         total = float(v.sum())
         if problem is None and total == 0.0:
@@ -212,7 +211,8 @@ def _warn_one_sided(z: CitationMatrix) -> None:
 
 
 def pwr_trace(z: CitationMatrix, options: PwrOptions | None = None) -> PwrTrace:
-    """Full iteration trace with the self-citation and zero-division policies."""
+    """Full iteration trace with the self-citation and zero-division policies.  Weaknesses
+    iterate ``entries.T.copy()``, which sums as a stored Z^T does (a ``.T`` view does not)."""
     opts = options if options is not None else PwrOptions()
     if z.n < 1:
         raise ValueError("matrix must have at least one node")
@@ -221,8 +221,8 @@ def pwr_trace(z: CitationMatrix, options: PwrOptions | None = None) -> PwrTrace:
     normalize = opts.normalize_each_iteration
     # overflow is reported once through the degenerate flag, not per numpy call
     with np.errstate(over="ignore", invalid="ignore"):
-        powers, p_scales, p_problem = _trace_vectors(mat, opts.k_max, normalize)
-        weaknesses, w_scales, w_problem = _trace_vectors(transpose(mat), opts.k_max, normalize)
+        powers, p_scales, p_problem = _trace_vectors(mat.entries, opts.k_max, normalize)
+        weaknesses, w_scales, w_problem = _trace_vectors(mat.entries.T.copy(), opts.k_max, normalize)
         divisible = weaknesses != 0.0
         if opts.zero_division is ZeroDivision.ERROR and not divisible.all():
             step = int(np.argmin(divisible.all(axis=1)))

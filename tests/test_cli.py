@@ -117,14 +117,16 @@ def load_cli_corpus() -> list[dict]:
     to scale a spread below 1 up by a power of two, so that it exits 0, not 2;
     the one after that, an external metric with twelve foreign labels, when
     every message came to name ten items at most, then a count of the rest;
-    and the last nine before the exit code of an error came to be chosen by
+    the nine after that before the exit code of an error came to be chosen by
     its type alone, one for each error the CLI raises itself that no earlier
     case covered: ``error-cannot-infer-format``, ``error-input-cannot-be-read``,
     ``error-largest-without-output``, ``error-largest-into-missing-directory``,
     ``error-convert-same-format-without-force``,
     ``error-external-without-equals``, ``error-unknown-metric``,
     ``error-subset-empty`` and ``error-decompose-edgeless-graph`` (the last
-    two exit 2).  Usage errors are left to ``TestTopLevel``, since argparse
+    two exit 2); and ``error-compare-into-missing-directory``, last of all,
+    when ``compare`` came to write its ``--output`` file before its standard
+    output.  Usage errors are left to ``TestTopLevel``, since argparse
     words them differently from one Python to the next.  An
     intended output change regenerates only the digests it affects, and the
     CHANGES.md entry of that change names each one and says why; no digest is
@@ -986,6 +988,42 @@ def test_label_pajek_cannot_carry_exits_1(argv, capsys, tmp_path):
     assert code == 1
     assert err == "error: vertex 2: label 'B\"C' holds a quote or a line break\n"
     assert not dst.exists()
+
+
+# Every flag that names a file a command writes, pointed into a missing directory.
+OUTPUT_FLAGS = {
+    "pwr-output": ["pwr", "--input", FIXTURE, "--output", "missing/trace.csv"],
+    "pwr-plot": ["pwr", "--input", FIXTURE, "--plot", "missing/chart.svg"],
+    "scc-largest-output": ["scc", "--input", FIXTURE, "--largest", "--output", "missing/core.net"],
+    "subset-output": ["subset", "--input", FIXTURE, "--target", "JASIST", "--output", "missing/s.csv"],
+    "decompose-output": ["decompose", "--input", FIXTURE, "--output", "missing/parts.csv"],
+    "compare-output": ["compare", "--input", FIXTURE, "--output", "missing/table.csv"],
+    "convert-output": ["convert", "--input", FIXTURE, "--output", "missing/m.net"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FLAGS.values(), ids=OUTPUT_FLAGS.keys())
+def test_failed_output_write_prints_nothing_to_stdout(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {argv[-1]}: ")
+
+
+def test_unencodable_output_leaves_the_file_as_it_was(capsys, tmp_path, monkeypatch):
+    # a metric name that was not UTF-8 on the command line comes in as a lone
+    # surrogate, which no UTF-8 file can hold
+    shutil.copyfile(data_path("sjr2013.csv"), tmp_path / "sjr2013.csv")
+    (tmp_path / "t.csv").write_bytes(b"kept\n")
+    monkeypatch.chdir(tmp_path)
+    code = main(["compare", "--input", FIXTURE, "--external", "\udcff=sjr2013.csv", "--output", "t.csv"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write t.csv: 'utf-8' codec can't encode")
+    assert (tmp_path / "t.csv").read_bytes() == b"kept\n"
 
 
 # The same bad bytes reach each of the three file-reading flags.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 
@@ -21,6 +22,7 @@ from pwrkit import (
     column_sums,
     converged_pwr,
     convergence_report,
+    jasist_plus_matrix,
     matrix_power_oracle,
     pwr_trace,
     row_sums,
@@ -62,6 +64,27 @@ class TestOptions:
             PwrOptions(tol=tol)
 
 
+def weighted_matrix(n: int, density: float) -> CitationMatrix:
+    """Weights in [0, 10) on a ``density`` share of the cells of n nodes, plus
+    ten full rows of weights in [0.5, 10.5): non-integer sums of many terms."""
+    rng = np.random.default_rng(n)
+    weights = rng.random((n, n)) * 10
+    weights[rng.random((n, n)) >= density] = 0.0
+    rows = rng.choice(n, min(n, 10), replace=False)
+    weights[rows] = rng.random((len(rows), n)) * 10 + 0.5
+    return CitationMatrix(tuple(f"J{i}" for i in range(n)), weights)
+
+
+# dense below DENSE_LIMIT nodes, CSR above it
+WEIGHTED = {
+    "dense-2": lambda: build("A B", [[1, 3], [2, 2]]),
+    "dense-7": lambda: weighted_matrix(7, 1.0),
+    "dense-300": lambda: weighted_matrix(300, 1.0),
+    "csr-1025": lambda: weighted_matrix(1025, 0.2),
+    "csr-1500": lambda: weighted_matrix(1500, 0.1),
+}
+
+
 class TestVectorTraces:
     def test_first_power_vector_is_normalized_row_sums(self):
         z = build("A B", [[1, 3], [2, 2]])
@@ -78,11 +101,27 @@ class TestVectorTraces:
             np.testing.assert_allclose(trace.weaknesses[k - 1], column_sums(oracle), rtol=1e-12)
 
     def test_weakness_is_power_of_transpose(self):
-        z = build("A B", [[1, 3], [2, 2]])
-        opts = PwrOptions(k_max=3)
-        np.testing.assert_array_equal(
-            pwr_trace(z, opts).weaknesses, pwr_trace(transpose(z), opts).powers
-        )
+        # bit for bit on both storages: each side iterates an array that sums
+        # like the other side's stored matrix (a dense .T view does not)
+        for name, make in WEIGHTED.items():
+            z = make()
+            zt = transpose(z)
+            for self_citations, normalize in itertools.product(["include", "exclude"], [True, False]):
+                opts = PwrOptions(k_max=12, self_citations=self_citations, normalize_each_iteration=normalize)
+                trace, flipped = pwr_trace(z, opts), pwr_trace(zt, opts)
+                case = f"{name} {self_citations} normalize={normalize}"
+                assert trace.weaknesses.tobytes() == flipped.powers.tobytes(), case
+                assert trace.powers.tobytes() == flipped.weaknesses.tobytes(), case
+
+    @pytest.mark.parametrize("self_citations, built", [("include", 0), ("exclude", 1)])
+    @pytest.mark.parametrize("make", [jasist_plus_matrix, WEIGHTED["csr-1025"]], ids=["dense", "csr"])
+    def test_trace_builds_no_transposed_matrix(self, monkeypatch, make, self_citations, built):
+        # the one matrix a trace may build is zero_diagonal's, under exclude
+        z, made = make(), []
+        post_init = CitationMatrix.__post_init__
+        monkeypatch.setattr(CitationMatrix, "__post_init__", lambda m: made.append(m) or post_init(m))
+        pwr_trace(z, PwrOptions(k_max=3, self_citations=self_citations))
+        assert len(made) == built
 
     def test_power_trace_follows_self_citation_policy(self):
         # row sums are [10, 11] with the diagonal and [1, 2] without it

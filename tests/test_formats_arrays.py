@@ -271,21 +271,31 @@ def test_head_ends_at_the_arcs_line_that_strip_finds(before):
 
 
 def mixed_chunks_text(bad_endpoint: bool = False) -> str:
-    """A CSR-sized network whose arc section spans four chunks at the default
-    size: plain with CRLF ends, decimal weights and comments, plain (with one
-    endpoint past n when ``bad_endpoint``), then a short tail with a comment."""
-    n, chunk = DENSE_LIMIT + 1, formats._CHUNK
+    """A CSR-sized network whose arc section spans four slices of
+    ``8 * formats._CHUNK`` characters at the default size: plain with CRLF
+    ends, decimal weights and comments, plain (with one endpoint past n when
+    ``bad_endpoint``), then a short tail with a comment.  Each stretch keeps
+    an eighth of a slice clear of the slice's ends."""
+    n, size = DENSE_LIMIT + 1, 8 * formats._CHUNK
     rng = np.random.default_rng(7)
-    ends = rng.integers(1, n + 1, size=(3 * chunk + 100, 2)).tolist()
+    # an arc line and its LF average about 10 characters: these fill 3.4 slices
+    ends = rng.integers(1, n + 1, size=(size // 3, 2)).tolist()
     arcs = [f"{s} {d} {w}" for (s, d), w in zip(ends, rng.integers(1, 20, len(ends)).tolist())]
-    for i in range(chunk, 2 * chunk - 1, 997):
+    starts = np.cumsum([0] + [len(arc) + 1 for arc in arcs])
+
+    def line_at(offset: float) -> int:
+        """The first arc line that starts at or past ``offset`` LF-ended characters."""
+        return int(np.searchsorted(starts, offset))
+
+    for i in range(line_at(1.125 * size), line_at(1.875 * size), 997):
         arcs[i] = arcs[i].rsplit(" ", 1)[0] + " 2.5"
         arcs[i + 1] = "% a comment"
     if bad_endpoint:
-        arcs[2 * chunk + 5] = f"1 {n + 1} 3"
-    arcs[3 * chunk + 50] = "  % tail"
+        arcs[line_at(2.5 * size)] = f"1 {n + 1} 3"
+    tail = line_at(3.125 * size)
+    arcs[tail] = "  % tail"
     head = [f"*Vertices {n}"] + [f'{i} "J{i}"' for i in range(1, n + 1)] + ["*Arcs"]
-    crlf, lf = "\r\n".join(arcs[:chunk]), "\n".join(arcs[chunk:])
+    crlf, lf = "\r\n".join(arcs[: line_at(size)]), "\n".join(arcs[line_at(size) : tail + 50])
     return "\n".join(head) + "\n" + crlf + "\r\n" + lf + "\n"
 
 
@@ -322,9 +332,28 @@ def test_endpoint_past_n_in_plain_chunk_after_per_line_chunk():
     with pytest.raises(ParseError) as expected:
         ref.read_pajek(text)
     assert "arc endpoint outside" in str(expected.value)
-    with pytest.raises(ParseError) as got:
+    bad = f"1 {DENSE_LIMIT + 2} 3\n"
+    plain_calls, bulk = [], formats._plain_arcs
+
+    def plain_arcs(part, n):
+        arcs = bulk(part, n)
+        plain_calls.append((part, arcs))
+        return arcs
+
+    with mock.patch.object(formats, "_plain_arcs", plain_arcs), mock.patch.object(
+        formats, "_arc_lines", wraps=formats._arc_lines
+    ) as per_line, pytest.raises(ParseError) as got:
         read_pajek(text)
     assert str(got.value) == str(expected.value)
+    # slices: plain, per-line (decimals and comments), then the plain slice
+    # that holds the bad line, which the bulk route refuses, so the per-line
+    # read of that slice alone raises the error
+    assert [arcs is None for _part, arcs in plain_calls] == [False, True, True]
+    assert "." not in plain_calls[2][0] and "%" not in plain_calls[2][0]
+    assert bad in plain_calls[2][0] and bad not in plain_calls[1][0]
+    assert [call.args[0] for call in per_line.call_args_list] == [
+        part.splitlines() for part, _arcs in plain_calls[1:]
+    ]
 
 
 def test_reader_keeps_no_whole_file_token_list():
