@@ -265,6 +265,12 @@ def cmd_compare(args: argparse.Namespace) -> None:
         name, _, path_str = pair.partition("=")
         if not name or not path_str:
             raise ValueError(f"--external expects name=file.csv, got {pair!r}")
+        # the name heads a table column; bytes that were not UTF-8 on the command
+        # line arrive as lone surrogates, which neither stdout nor a file can hold
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"--external name {name!r} is not UTF-8 text") from None
         path = Path(path_str)
         external.append((path, _parsed(path, read_metric_csv, read_text(path), name)))
     columns = _metric_columns(z, args)

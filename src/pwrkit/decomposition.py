@@ -24,7 +24,9 @@ takes 12 bytes.
 - The modularity optimizer works on CSR adjacency arrays, 10 bytes per
   directed entry (n loops plus both ends of every edge), placed a chunk of
   edges at a time and collapsed a block of rows at a time; modularity
-  accumulates a chunk of edges at a time.
+  accumulates a chunk of edges at a time.  A local-moving visit is
+  O(degree) unless the node's row is unchanged since it last stayed: then
+  the visit reuses that row's community weights and costs O(candidates).
 
 Every float sum runs in the order the one-shot forms used: a Gram row over
 its products in row order, degrees, internal and collapsed weights in edge or
@@ -500,6 +502,24 @@ def _first_best(cands: Sequence[int], gains: Sequence[float]) -> int:
     return best
 
 
+def _candidates(
+    comms: np.ndarray, weights: np.ndarray, slot: np.ndarray, pos: np.ndarray, m: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The communities of one row's entries, once each, and the weight
+    towards each over m, summed in row order from 0.0.
+
+    The communities are numbered without sorting: ``slot`` holds one row
+    position per community, the bin of its weights.
+    """
+    row_pos = pos[: len(comms)]
+    slot[comms] = row_pos
+    rep = slot.take(comms)
+    at = (rep == row_pos).nonzero()[0]
+    weight = np.bincount(rep, weights=weights).take(at)
+    weight /= m
+    return comms.take(at), weight
+
+
 def _local_moving(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -511,9 +531,15 @@ def _local_moving(
 ) -> tuple[list[int], bool]:
     """Move nodes to their best neighbouring community until none moves.
 
-    A visit costs O(degree): the weight towards each neighbouring community
-    is summed in neighbour order and candidates are compared as if scanned
-    in ascending community id.
+    A visit costs O(degree) unless its row is unchanged: the weight towards
+    each neighbouring community is summed in neighbour order and candidates
+    are compared as if scanned in ascending community id.  A node that stays
+    keeps its candidates and their weights, and its next visit reuses them
+    while no node of its row has moved since; a move marks every node of
+    the mover's row (the mover too, through its own entry) to be summed
+    again.  Reused weights are the bits a new sum would give, and the
+    penalty, gain and choice are computed against the live ``sigma`` on
+    every visit, so the partition does not depend on the reuse.
     """
     level_n = len(degree)
     community = np.arange(level_n)
@@ -525,6 +551,9 @@ def _local_moving(
     loops = data[indptr[:-1]]
     data[indptr[:-1]] = 0.0
     slot = np.zeros(level_n, dtype=np.intp)
+    pos = np.arange(level_n)  # a row holds at most level_n distinct nodes
+    stale = np.ones(level_n, dtype=bool)
+    kept: list[tuple[np.ndarray, np.ndarray] | None] = [None] * level_n
     moved_any = False
     moved = True
     # Real inputs settle in a handful of sweeps; the budget only guards
@@ -542,16 +571,17 @@ def _local_moving(
                 kv = degree[v]
                 a, b = ptr[v], ptr[v + 1]
                 sigma[current] -= kv
-                # Number the neighbouring communities without sorting: slot holds
-                # one neighbour position per community, the bin of its weights.
-                pos = np.arange(b - a)
-                comms = community[indices[a:b]]
-                slot[comms] = pos
-                rep = slot[comms]
-                at = np.flatnonzero(rep == pos)
-                found = comms[at]
-                sums = np.bincount(rep, weights=data[a:b])[at]
-                gain = sums / m - resolution * sigma[found] * kv / scale
+                if stale[v]:
+                    comms = community.take(indices[a:b])
+                    found, weight = _candidates(comms, data[a:b], slot, pos, m)
+                else:
+                    found, weight = kept[v]
+                # weight - resolution * sigma[found] * kv / scale, in place
+                gain = sigma.take(found)
+                gain *= resolution
+                gain *= kv
+                gain /= scale
+                np.subtract(weight, gain, out=gain)
                 top = int(gain.argmax())
                 # A leader ahead of every rival by more than eps wins the
                 # ascending scan whatever the candidate order; else scan.
@@ -564,6 +594,11 @@ def _local_moving(
                 sigma[best] += kv
                 if best != current:
                     moved = moved_any = True
+                    stale[indices[a:b]] = True
+                    kept[v] = None
+                else:
+                    stale[v] = False
+                    kept[v] = found, weight
     data[indptr[:-1]] = loops
     return community.tolist(), moved_any
 

@@ -703,6 +703,24 @@ class TestCompareCommand:
         assert line.startswith(f"error: cannot read {missing}: ")
         assert [record.getMessage() for record in caplog.records] == []
 
+    @pytest.mark.parametrize("output", [[], ["--output", "t.csv"]], ids=["stdout", "output"])
+    def test_external_name_that_is_not_utf8_exits_1_before_any_metric(
+        self, output, capsys, monkeypatch, tmp_path
+    ):
+        # a name that was not UTF-8 on the command line comes in as a lone
+        # surrogate; the table goes to neither stdout nor a file
+        def refuse(*args, **kwargs):
+            raise AssertionError("a metric was computed before the name was checked")
+
+        monkeypatch.setattr("pwrkit.cli._metric_columns", refuse)
+        shutil.copyfile(data_path("sjr2013.csv"), tmp_path / "sjr2013.csv")
+        monkeypatch.chdir(tmp_path)
+        code = main(["compare", "--input", FIXTURE, "--external", "\udcff=sjr2013.csv", *output])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: --external name '\\udcff' is not UTF-8 text\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_nan_tol_exits_1(self, capsys):
         code = main(["compare", "--input", FIXTURE, "--tol", "nan"])
         _out, err = capsys.readouterr()
@@ -1012,17 +1030,14 @@ def test_failed_output_write_prints_nothing_to_stdout(argv, capsys, tmp_path, mo
     assert err.startswith(f"error: cannot write {argv[-1]}: ")
 
 
-def test_unencodable_output_leaves_the_file_as_it_was(capsys, tmp_path, monkeypatch):
-    # a metric name that was not UTF-8 on the command line comes in as a lone
-    # surrogate, which no UTF-8 file can hold
-    shutil.copyfile(data_path("sjr2013.csv"), tmp_path / "sjr2013.csv")
+def test_unencodable_output_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    # the text is encoded before the file is opened, so a lone surrogate, which
+    # no UTF-8 file can hold, truncates nothing (compare refuses the one such
+    # name a command line can bring, before it gets this far)
     (tmp_path / "t.csv").write_bytes(b"kept\n")
     monkeypatch.chdir(tmp_path)
-    code = main(["compare", "--input", FIXTURE, "--external", "\udcff=sjr2013.csv", "--output", "t.csv"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: cannot write t.csv: 'utf-8' codec can't encode")
+    with pytest.raises(ValueError, match="^cannot write t.csv: 'utf-8' codec can't encode"):
+        cli._write_file("t.csv", "label,\udcff\n")
     assert (tmp_path / "t.csv").read_bytes() == b"kept\n"
 
 

@@ -151,6 +151,49 @@ def test_louvain_sweeps_nodes_of_nonzero_degree_in_ascending_degree(monkeypatch)
         assert sweep == sorted(nonzero, key=lambda v: (degree[v], v))
 
 
+class CountedSweeps(list):
+    """A sweep list that notes the recomputed-row count as each sweep starts."""
+
+    def __init__(self, sweep, recomputed):
+        super().__init__(sweep)
+        self.recomputed, self.starts = recomputed, []
+
+    def __iter__(self):
+        self.starts.append(len(self.recomputed))
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
+def test_staying_nodes_reuse_unchanged_rows_with_the_bits_of_summing_them(
+    monkeypatch, resolution
+):
+    # 300 nodes, 4,334 edges at the default threshold; level 0 takes 6-9 sweeps
+    graph = threshold_graph(citing_cosine_matrix(fielded_matrix(300, 5, 6, seed=0)), 0.01)
+    recomputed, levels = [], []
+    real_moving, real_candidates = decomposition._local_moving, decomposition._candidates
+
+    def moving(indptr, indices, data, degree, sweep, *rest):
+        levels.append(CountedSweeps(sweep, recomputed))
+        return real_moving(indptr, indices, data, degree, levels[-1], *rest)
+
+    def candidates(comms, *rest):
+        recomputed.append(len(comms))
+        return real_candidates(comms, *rest)
+
+    monkeypatch.setattr(decomposition, "_local_moving", moving)
+    monkeypatch.setattr(decomposition, "_candidates", candidates)
+    part = louvain_partition(graph, resolution=resolution)
+    community_of, q = ref.louvain(graph.n, list(graph.edges), resolution)
+    assert part.community_of == community_of
+    assert repr(part.q) == repr(q)
+    first = levels[0]
+    assert len(first) == graph.n and len(first.starts) >= 3
+    # the first sweep sums every row; the last, where nothing moves, reuses some
+    assert first.starts[1] - first.starts[0] == graph.n
+    last = (levels[1].starts[0] if len(levels) > 1 else len(recomputed)) - first.starts[-1]
+    assert last < graph.n
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
