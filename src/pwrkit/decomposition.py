@@ -29,10 +29,14 @@ takes 12 bytes.
   the visit reuses that row's community weights and costs O(candidates).
 
 Every float sum runs in the order the one-shot forms used: a Gram row over
-its products in row order, degrees, internal and collapsed weights in edge or
-scan order from 0.0.  So the similarities, partitions and Q do not depend on
-the block and chunk sizes.  Citation counts are integers, so the Gram
-entries, and hence the similarities, are exact on either storage.
+its products in row order, the total weight, degrees, internal and
+collapsed weights in edge or scan order from 0.0.  So the similarities,
+partitions and Q do not depend on the block and chunk sizes.  numpy adds
+one weight at a time (``add.accumulate``, ``add.at``, ``bincount``), so
+unlike the builtin ``sum()``, which compensates float sums from Python 3.12
+on, these sums do not depend on the Python version either.
+Citation counts are integers, so the Gram entries, and hence the
+similarities, are exact on either storage.
 """
 
 from __future__ import annotations
@@ -82,16 +86,6 @@ class EdgeList(Sequence):
 
     def __repr__(self) -> str:
         return f"EdgeList({len(self)} edges)"
-
-
-def _py_sum(values: np.ndarray) -> float:
-    """``sum()`` over the values as Python floats, in order, in bounded memory.
-
-    The builtin's float summation (compensated from Python 3.12 on) defines
-    total weights and degrees, so it is reused rather than redone in numpy.
-    """
-    chunks = (values[k : k + _CHUNK].tolist() for k in range(0, len(values), _CHUNK))
-    return float(sum(itertools.chain.from_iterable(chunks)))
 
 
 class SimilarityMatrix:
@@ -230,7 +224,13 @@ class UndirectedGraph:
 
     @cached_property
     def total_weight(self) -> float:
-        return _py_sum(self.edges.w)
+        """The edge weights added in edge order from 0.0; inf past double range."""
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for start in range(0, len(self.edges), _CHUNK):
+                chunk = np.append(total, self.edges.w[start : start + _CHUNK])
+                total = np.add.accumulate(chunk)[-1]
+        return float(total)
 
 
 @dataclass(frozen=True)
@@ -358,6 +358,14 @@ def _checked_resolution(resolution: float) -> float:
     return float(resolution)
 
 
+def _checked_total_weight(graph: UndirectedGraph) -> float:
+    """The graph's m, refused where the degrees, which sum to 2m, overflow."""
+    m = graph.total_weight
+    if not math.isfinite(2.0 * m):
+        raise ContractError("twice the total edge weight overflows double range")
+    return m
+
+
 def modularity(
     graph: UndirectedGraph,
     partition: Partition | Mapping[int, int] | Sequence[int],
@@ -370,7 +378,7 @@ def modularity(
     """
     resolution = _checked_resolution(resolution)
     assignment = _assignment_vector(graph.n, partition)
-    m = graph.total_weight
+    m = _checked_total_weight(graph)
     if m == 0.0:
         raise ValueError("modularity is undefined for a graph with no edges")
     first_seen: dict[int, int] = {}
@@ -483,14 +491,17 @@ def _adjacency(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _degrees(indptr: np.ndarray, data: np.ndarray) -> list[float]:
-    """Twice the loop weight plus the builtin ``sum()`` of the neighbour
-    weights (see :func:`_py_sum`), per row."""
-    ptr = indptr.tolist()
-    loops = data[indptr[:-1]].tolist()
-    return [
-        2.0 * loop + sum(data[a + 1 : b].tolist())
-        for loop, a, b in zip(loops, ptr[:-1], ptr[1:])
-    ]
+    """Twice the loop weight plus the neighbour weights added in row order
+    from 0.0, per row: one ``bincount`` per block of rows, with each row's
+    loop entry put in a spare bin."""
+    degree = np.empty(len(indptr) - 1)
+    for a, b in _row_blocks(indptr, _CHUNK):
+        starts = indptr[a:b]
+        row = np.repeat(np.arange(b - a), np.diff(indptr[a : b + 1]))
+        row[starts - starts[0]] = b - a
+        sums = np.bincount(row, weights=data[starts[0] : indptr[b]], minlength=b - a + 1)
+        degree[a:b] = 2.0 * data[starts] + sums[:-1]
+    return degree.tolist()
 
 
 def _first_best(cands: Sequence[int], gains: Sequence[float]) -> int:
@@ -691,7 +702,7 @@ def louvain_partition(
     n = graph.n
     if n < 1:
         raise ValueError("graph must have at least one node")
-    m = graph.total_weight
+    m = _checked_total_weight(graph)
     if m == 0.0:
         return Partition(graph.labels, tuple(range(n)), 0.0)
     sweep = None

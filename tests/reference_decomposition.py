@@ -17,9 +17,18 @@ block or chunk at a time; they fix the bits, errors and sums it must keep.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 _GAIN_EPS = 1e-12
+
+
+def in_order_sum(values) -> float:
+    """The values added left to right from 0.0, the order every sum of the
+    library's graph layer keeps on any Python version."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def dense_cosine(dense: np.ndarray) -> np.ndarray:
@@ -49,7 +58,7 @@ def normalized(edges) -> list[tuple[int, int, float]]:
 
 
 def modularity(n: int, edges, assignment, resolution: float = 1.0) -> float:
-    m = float(sum(w for _i, _j, w in edges))
+    m = in_order_sum(w for _i, _j, w in edges)
     internal: dict[int, float] = {}
     degree = [0.0] * n
     for i, j, w in edges:
@@ -70,7 +79,7 @@ def modularity(n: int, edges, assignment, resolution: float = 1.0) -> float:
 def louvain(n: int, edges, resolution: float = 1.0, sweep_order=None):
     """(community_of, q) from the dict-based two-phase optimizer."""
     edges = normalized(edges)
-    m = float(sum(w for _i, _j, w in edges))
+    m = in_order_sum(w for _i, _j, w in edges)
     if m == 0.0:
         return tuple(range(n)), 0.0
     adjacency: list[dict[int, float]] = [{} for _ in range(n)]
@@ -85,7 +94,8 @@ def louvain(n: int, edges, resolution: float = 1.0, sweep_order=None):
     while True:
         level_n = len(adjacency)
         weighted_degree = [
-            2.0 * loops[v] + sum(adjacency[v].values()) for v in range(level_n)
+            2.0 * loops[v] + in_order_sum(adjacency[v].values())
+            for v in range(level_n)
         ]
         if first_level and sweep_order is not None:
             sweep = list(sweep_order)
@@ -243,7 +253,7 @@ def validated(i: np.ndarray, j: np.ndarray, w: np.ndarray, n: int):
 
 def bincount_modularity(n: int, i, j, w, assignment, resolution: float = 1.0) -> float:
     """Modularity from one ``bincount`` per sum over all edges."""
-    m = float(sum(w.tolist()))
+    m = in_order_sum(w.tolist())
     first_seen: dict[int, int] = {}
     comm = np.array([first_seen.setdefault(c, len(first_seen)) for c in assignment])
     degree = np.bincount(_interleave(i, j), weights=w.repeat(2), minlength=n)

@@ -745,6 +745,15 @@ class TestCompareCommand:
             "error: matrix has no citations; hub and authority scores are undefined\n"
         )
 
+    def test_hits_scores_that_underflow_to_zero_exit_2(self, capsys, tmp_path):
+        net = tmp_path / "tiny.net"
+        net.write_text('*Vertices 2\n1 "A"\n2 "B"\n*Arcs\n1 2 5e-324\n', encoding="utf-8")
+        code = main(["compare", "--metrics", "hits", "--input", str(net)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: authority scores collapsed to zero\n"
+
     def test_each_warning_is_printed_once(self, tmp_path):
         # pwr and cf each run the engine on the matrix; stderr carries one copy
         data = _csv_file(tmp_path, ",A,B\nA,0,0\nB,0,0\n")

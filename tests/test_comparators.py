@@ -198,6 +198,18 @@ class TestHits:
         with pytest.raises(ValueError, match="no citations"):
             hits(build("A B", [[0, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_scores_that_underflow_to_zero_are_refused(self, storage):
+        # the one arc passes the no-citations check, but 5e-324 times the
+        # starting hub score rounds to 0.0, so no authority score is left
+        n = 2 if storage == "dense" else DENSE_LIMIT + 1
+        entries = sparse.csr_array(([5e-324], ([0], [1])), shape=(n, n))
+        z = CitationMatrix(tuple(f"J{i}" for i in range(n)), entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="^authority scores collapsed to zero$"):
+                hits(z)
+
     def test_iteration_limit_carries_the_first_iterates_on_csr(self):
         z, w = chain_matrix()
         n = z.n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import sparse
 
 from pwrkit import (
     CitationMatrix,
+    ContractError,
     Partition,
     SimilarityMatrix,
     UndirectedGraph,
@@ -255,6 +257,23 @@ class TestModularity:
         assert modularity(TWO_TRIANGLES, [0, 0, 0, 1, 1, 1], resolution=2.0) == pytest.approx(
             0.0, abs=1e-15
         )
+
+
+# a path of three equal edges: m past double range, and m finite with the
+# degrees, which sum to 2m, past it
+PATH_WEIGHTS = [
+    pytest.param(1e308, math.inf, id="m-inf"),
+    pytest.param(4e307, 4e307 + 4e307 + 4e307, id="2m-inf"),
+]
+
+
+@pytest.mark.parametrize(("w", "m"), PATH_WEIGHTS)
+def test_weights_summing_past_double_range_are_refused(w, m):
+    g = UndirectedGraph(tuple("abcd"), [(0, 1, w), (1, 2, w), (2, 3, w)])
+    assert g.total_weight == m
+    for call in (lambda: modularity(g, [0, 0, 1, 1]), lambda: louvain_partition(g)):
+        with pytest.raises(ContractError, match="total edge weight overflows double range"):
+            call()
 
 
 class TestPartition:

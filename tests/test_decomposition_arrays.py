@@ -3,7 +3,7 @@
 Differential tests hold the similarity, threshold, Louvain and modularity
 routes to the dense and dict-based formulations in
 ``reference_decomposition`` bit for bit, on dense and CSR storage and with
-the default and a tiny chunk size for the builtin sums and the blockwise
+the default and a tiny chunk size for the weight sums and the blockwise
 Gram matrix, which is also held to the one-shot sparse product.  A memory guard
 keeps the sparse route free of n x n arrays, and a networkx cross-check
 ties modularity to an independent implementation.
@@ -11,6 +11,8 @@ ties modularity to an independent implementation.
 
 from __future__ import annotations
 
+import builtins
+import math
 import tracemalloc
 from unittest import mock
 
@@ -33,8 +35,8 @@ from pwrkit.matrix import DENSE_LIMIT
 
 from . import reference_decomposition as ref
 
-# Chunk size of the builtin sums: the default, and one small enough that
-# total weights are summed over several chunks.
+# Chunk size of the weight sums: the default, and one small enough that
+# total weights and degrees are summed over several chunks.
 CHUNKS = [
     pytest.param(decomposition._CHUNK, id="default"),
     pytest.param(4, id="small-chunk"),
@@ -107,6 +109,23 @@ def test_every_unit_weight_graph_up_to_six_nodes_matches(chunk):
             with chunked(chunk):
                 part = louvain_partition(UndirectedGraph(labels, edges))
             assert (part.community_of, part.q) == ref.louvain(n, edges), (n, mask)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_weights_are_added_in_order_whatever_the_builtin_sum_does(chunk, monkeypatch):
+    # math.fsum stands in for the compensated builtin sum() of Python 3.12 on,
+    # which gives 1.5 plus 9 ulps here where in-order addition gives 1.5
+    monkeypatch.setattr(builtins, "sum", lambda values, start=0: math.fsum(values) + start)
+    weights = [1.0] + [1e-16] * 19 + [0.5]
+    # a star: the hub's row holds every weight, in edge order
+    edges = [(0, k, w) for k, w in enumerate(weights, start=1)]
+    graph = UndirectedGraph(tuple(f"v{k}" for k in range(len(weights) + 1)), edges)
+    with chunked(chunk):
+        total = graph.total_weight
+        indptr, _indices, data = decomposition._adjacency(graph)
+        degree = decomposition._degrees(indptr, data)
+    assert total.hex() == ref.in_order_sum(weights).hex() == (1.5).hex()
+    assert [d.hex() for d in degree] == [w.hex() for w in [total, *weights]]
 
 
 @settings(max_examples=60, deadline=None)
